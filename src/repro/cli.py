@@ -52,7 +52,7 @@ from .geometry.deployment import (
 from .graphs.power import power_graph
 from .graphs.udg import UnitDiskGraph
 from .mac.tdma import TDMASchedule
-from .mac.verify import verify_tdma_broadcast
+from .invariants import verify_tdma_broadcast
 from .mac.srs import simulate_uniform_algorithm
 from .messaging.algorithms import (
     BFSTreeAlgorithm,
@@ -432,7 +432,6 @@ def _run_orchestrated(args: argparse.Namespace) -> int:
         progress=lambda message: print(message, file=sys.stderr),
         install_sigint=True,
         faults=plan,
-        batch=getattr(args, "batch", False),
         resolver=getattr(args, "resolver", None),
         algorithm=getattr(args, "algorithm", None),
     )
@@ -768,14 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--retries", type=int, default=1, metavar="N",
         help="extra attempts per failed shard before recording the failure",
-    )
-    sweep_cmd.add_argument(
-        "--batch", action="store_true",
-        help=(
-            "fold seed-contiguous units into batched runs where the "
-            "experiment supports it (bit-identical rows; pair with "
-            "--shard-size spanning several seeds)"
-        ),
     )
     _add_resolver_args(sweep_cmd)
     _add_algorithm_args(sweep_cmd)

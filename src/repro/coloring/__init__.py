@@ -7,7 +7,6 @@
   ``M_A^i(v, c_v)``, ``M_C^i(v[, w, tc])``, ``M_R(v, L(v))``.
 * :mod:`repro.coloring.mw_node` — the node state machine of Figures 1-3.
 * :mod:`repro.coloring.runner` — one-call execution harness.
-* :mod:`repro.coloring.audit` — per-slot independence auditing (Theorem 1).
 * :mod:`repro.coloring.distance_d` — distance-d coloring via power boosting
   (Section V).
 * :mod:`repro.coloring.palette` — palette reduction to Delta+1 colors.
@@ -16,7 +15,7 @@
 
 from __future__ import annotations
 
-from .audit import IndependenceAuditor
+from ..invariants import IndependenceAuditor
 from .baselines import greedy_coloring, randomized_coloring
 from .constants import AlgorithmConstants
 from .distance_d import run_distance_d_coloring

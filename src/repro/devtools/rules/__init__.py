@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from . import (
     algorithms,
-    batch,
     contracts,
     determinism,
     errors,
@@ -21,7 +20,6 @@ from . import (
 
 __all__ = [
     "algorithms",
-    "batch",
     "contracts",
     "determinism",
     "errors",

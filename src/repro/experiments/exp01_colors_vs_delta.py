@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..batch import run_mw_coloring_batched
 from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import uniform_deployment
 from .._validation import require_int
@@ -27,23 +26,26 @@ DEFAULT_N = 100
 #: ``units()`` defaults; empty when seeds are the only swept axis.
 GRID = {"extent": DEFAULT_EXTENTS}
 
-#: Batched entry point for ``repro sweep --batch`` (see repro.batch).
-BATCHED_UNITS = {"run_single": "run_single_batched"}
-
 __all__ = [
-    "BATCHED_UNITS",
     "COLUMNS",
     "GRID",
     "TITLE",
     "check",
     "run",
     "run_single",
-    "run_single_batched",
     "units",
 ]
 
 
-def _row(seed: int, extent: float, result) -> dict:
+def run_single(
+    seed: int, extent: float, n: int = DEFAULT_N, resolver: str | None = None
+) -> dict:
+    """One deployment at the given density; returns one table row."""
+    require_int("n", n, minimum=1)
+    deployment = uniform_deployment(n, extent, seed=seed)
+    result = run_mw_coloring(
+        deployment, seed=seed + 100, resolver=resolver or "dense"
+    )
     return {
         "extent": extent,
         "seed": seed,
@@ -56,37 +58,6 @@ def _row(seed: int, extent: float, result) -> dict:
         "proper": result.is_proper(),
         "completed": result.stats.completed,
     }
-
-
-def run_single(
-    seed: int, extent: float, n: int = DEFAULT_N, resolver: str | None = None
-) -> dict:
-    """One deployment at the given density; returns one table row."""
-    require_int("n", n, minimum=1)
-    deployment = uniform_deployment(n, extent, seed=seed)
-    result = run_mw_coloring(
-        deployment, seed=seed + 100, resolver=resolver or "dense"
-    )
-    return _row(seed, extent, result)
-
-
-def run_single_batched(
-    seeds: Sequence[int],
-    extent: float,
-    n: int = DEFAULT_N,
-    resolver: str | None = None,
-) -> list[dict]:
-    """All seeds of one density configuration as a single batched run."""
-    require_int("n", n, minimum=1)
-    deployments = [uniform_deployment(n, extent, seed=seed) for seed in seeds]
-    results = run_mw_coloring_batched(
-        [seed + 100 for seed in seeds],
-        deployments,
-        resolver=resolver or "dense",
-    )
-    return [
-        _row(seed, extent, result) for seed, result in zip(seeds, results)
-    ]
 
 
 def units(

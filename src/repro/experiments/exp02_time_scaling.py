@@ -11,7 +11,6 @@ from typing import Sequence
 
 from ..analysis.metrics import fit_shape
 from ..analysis.theory import time_bound_shape
-from ..batch import run_mw_coloring_batched
 from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import uniform_deployment
 from ._units import grid_units, run_units
@@ -26,15 +25,7 @@ DENSITY = 100 / 36.0  # nodes per unit^2 of the n=100, extent-6 baseline
 #: ``units()`` defaults; empty when seeds are the only swept axis.
 GRID = {"n": (50, 100, 200), "extent": (9.0, 6.5, 5.0)}
 
-#: Batched entry points for ``repro sweep --batch`` (unit function ->
-#: batched twin; see repro.batch).  Rows are bit-identical to the units.
-BATCHED_UNITS = {
-    "run_single": "run_single_batched",
-    "run_single_fixed_n": "run_single_fixed_n_batched",
-}
-
 __all__ = [
-    "BATCHED_UNITS",
     "COLUMNS",
     "GRID",
     "TITLE",
@@ -43,7 +34,6 @@ __all__ = [
     "check",
     "run",
     "run_single",
-    "run_single_batched",
     "run_single_fixed_n",
     "units",
 ]
@@ -54,39 +44,9 @@ def run_single(seed: int, n: int) -> dict:
     extent = math.sqrt(n / DENSITY)
     deployment = uniform_deployment(n, extent, seed=seed)
     result = run_mw_coloring(deployment, seed=seed + 50)
-    return _row_vs_n(seed, n, result)
-
-
-def _row_vs_n(seed: int, n: int, result) -> dict:
     shape = time_bound_shape(result.constants.delta, n)
     return {
         "n": n,
-        "seed": seed,
-        "delta": result.constants.delta,
-        "shape": shape,
-        "slots": result.slots_to_complete,
-        "slots_per_shape": result.slots_to_complete / shape,
-        "completed": result.stats.completed,
-        "proper": result.is_proper(),
-    }
-
-
-def run_single_batched(seeds: Sequence[int], n: int) -> list[dict]:
-    """All seeds of one ``run_single`` configuration as a single batch."""
-    extent = math.sqrt(n / DENSITY)
-    deployments = [uniform_deployment(n, extent, seed=seed) for seed in seeds]
-    results = run_mw_coloring_batched(
-        [seed + 50 for seed in seeds], deployments
-    )
-    return [
-        _row_vs_n(seed, n, result) for seed, result in zip(seeds, results)
-    ]
-
-
-def _row_vs_delta(seed: int, extent: float, n: int, result) -> dict:
-    shape = time_bound_shape(result.constants.delta, n)
-    return {
-        "extent": extent,
         "seed": seed,
         "delta": result.constants.delta,
         "shape": shape,
@@ -101,21 +61,17 @@ def run_single_fixed_n(seed: int, extent: float, n: int = 100) -> dict:
     """One run at fixed n with the given extent (Delta sweep axis)."""
     deployment = uniform_deployment(n, extent, seed=seed)
     result = run_mw_coloring(deployment, seed=seed + 60)
-    return _row_vs_delta(seed, extent, n, result)
-
-
-def run_single_fixed_n_batched(
-    seeds: Sequence[int], extent: float, n: int = 100
-) -> list[dict]:
-    """All seeds of one ``run_single_fixed_n`` configuration, batched."""
-    deployments = [uniform_deployment(n, extent, seed=seed) for seed in seeds]
-    results = run_mw_coloring_batched(
-        [seed + 60 for seed in seeds], deployments
-    )
-    return [
-        _row_vs_delta(seed, extent, n, result)
-        for seed, result in zip(seeds, results)
-    ]
+    shape = time_bound_shape(result.constants.delta, n)
+    return {
+        "extent": extent,
+        "seed": seed,
+        "delta": result.constants.delta,
+        "shape": shape,
+        "slots": result.slots_to_complete,
+        "slots_per_shape": result.slots_to_complete / shape,
+        "completed": result.stats.completed,
+        "proper": result.is_proper(),
+    }
 
 
 def units(

@@ -16,7 +16,7 @@ from ..graphs.power import power_graph
 from ..graphs.udg import UnitDiskGraph
 from ..mac.aloha import run_slotted_aloha
 from ..mac.tdma import TDMASchedule
-from ..mac.verify import verify_tdma_broadcast
+from ..invariants import verify_tdma_broadcast
 from ..sinr.params import PhysicalParams
 from ._units import grid_units, run_units
 

@@ -13,7 +13,7 @@ from ..geometry.deployment import uniform_deployment
 from ..graphs.power import power_graph
 from ..graphs.udg import UnitDiskGraph
 from ..mac.tdma import TDMASchedule
-from ..mac.verify import verify_tdma_broadcast
+from ..invariants import verify_tdma_broadcast
 from ..sinr.params import PhysicalParams
 from ._units import grid_units, run_units
 

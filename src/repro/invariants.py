@@ -13,8 +13,7 @@ reports:
 * **Palette validity** — colors are non-negative and within the claimed
   palette bound (:func:`palette_violations`).
 
-Keeping the checkers here — and only re-export shims at their historical
-homes ``coloring.audit`` and ``mac.verify`` — means the production
+Keeping the checkers in this one module means the production
 degradation path and the tests run the *same* code and cannot drift.
 
 Under fault injection these invariants may genuinely break (that is the

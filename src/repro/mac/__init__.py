@@ -1,8 +1,6 @@
 """Coloring-based MAC layer under SINR (Section V of the paper).
 
 * :mod:`repro.mac.tdma` — a TDMA frame mapping colors to slots.
-* :mod:`repro.mac.verify` — the Theorem 3 audit: run a full frame under the
-  SINR channel and count (sender, neighbor) deliveries.
 * :mod:`repro.mac.aloha` — slotted-ALOHA local broadcast baseline.
 * :mod:`repro.mac.srs` — single-round simulation of message-passing
   algorithms over the TDMA schedule (Corollary 1).
@@ -10,11 +8,11 @@
 
 from __future__ import annotations
 
+from ..invariants import MacVerificationReport, verify_tdma_broadcast
 from .aloha import AlohaReport, run_slotted_aloha
 from .pipeline import MacLayer, build_mac_layer
 from .srs import SRSReport, simulate_general_algorithm, simulate_uniform_algorithm
 from .tdma import TDMASchedule
-from .verify import MacVerificationReport, verify_tdma_broadcast
 
 __all__ = [
     "AlohaReport",

@@ -28,9 +28,9 @@ from ..errors import ScheduleError
 from ..geometry.deployment import Deployment
 from ..graphs.coloring import Coloring
 from ..graphs.udg import UnitDiskGraph
+from ..invariants import MacVerificationReport, verify_tdma_broadcast
 from ..sinr.params import PhysicalParams
 from .tdma import TDMASchedule
-from .verify import MacVerificationReport, verify_tdma_broadcast
 
 __all__ = ["MacLayer", "build_mac_layer"]
 

@@ -244,7 +244,6 @@ def run_sharded(
     install_sigint: bool = False,
     module: str | None = None,
     faults: FaultPlan | dict | None = None,
-    batch: bool = False,
     resolver: str | None = None,
     algorithm: str | None = None,
 ) -> SweepResult:
@@ -262,18 +261,11 @@ def run_sharded(
     — a resumed sweep with a different plan is a different run).  An
     experiment whose ``units()`` does not accept ``faults`` raises.
 
-    ``batch`` lets workers fold seed-contiguous units into one batched
-    call where the experiment opts in via ``BATCHED_UNITS`` (see
-    :mod:`repro.batch`).  Rows are bit-identical either way, and the unit
-    list, config hash and store layout are untouched — a serial sweep can
-    be resumed batched and vice versa.  Batching pays off when
-    ``shard_size`` spans several seeds of one configuration.
-
     ``resolver`` selects the SINR interference backend for every unit
     (``"sparse"`` is the grid-bucketed engine of ``docs/SCALING.md``).
-    Unlike ``batch`` it *changes the rows*, so ``"sparse"`` is folded
-    into every unit and therefore into the config hash — ``--resume``
-    treats dense and sparse sweeps as distinct work.  ``None`` and
+    It *changes the rows*, so ``"sparse"`` is folded into every unit and
+    therefore into the config hash — ``--resume`` treats dense and sparse
+    sweeps as distinct work.  ``None`` and
     ``"dense"`` both mean the exact dense engine and leave the unit list
     byte-identical to earlier releases, so existing dense stores keep
     resuming.  An experiment whose ``units()`` does not accept
@@ -362,7 +354,6 @@ def run_sharded(
             "start": shard.start,
             "units": list(shard.units),
             "timeout_s": timeout_s,
-            "batch": batch,
         }
         if store is not None:
             payload["telemetry_path"] = str(

@@ -26,7 +26,7 @@ import time
 from ..errors import ReproError
 from ..experiments._units import expand_unit
 
-__all__ = ["ShardTimeout", "execute_shard", "init_worker", "run_shard_units"]
+__all__ = ["ShardTimeout", "execute_shard", "init_worker"]
 
 
 class ShardTimeout(ReproError):
@@ -42,71 +42,12 @@ def _alarm(signum, frame):  # pragma: no cover - dispatched by the kernel
     raise ShardTimeout("shard exceeded its time budget")
 
 
-def _normalise(produced) -> list[dict]:
-    """One unit's result as a row list (mirrors ``expand_unit``)."""
-    if produced is None:
-        return []
-    if isinstance(produced, dict):
-        return [produced]
-    return list(produced)
-
-
-def run_shard_units(
-    module_name: str, units: list[dict], batch: bool = False
-) -> tuple[list[dict], list[int]]:
-    """Execute a shard's units; returns ``(rows, per-unit row counts)``.
-
-    With ``batch=True``, seed-contiguous stretches of units whose function
-    appears in the experiment module's ``BATCHED_UNITS`` table (unit
-    function name -> batched entry point) are folded by
-    :func:`~repro.batch.planner.batch_groups` and handed to the batched
-    entry point in one call — ``f(seeds, **shared_kwargs)`` returning one
-    unit result per seed, bit-identical to the serial units.  Everything
-    else (and every unit when ``batch=False``) runs unit by unit, so row
-    order and per-unit attribution are unchanged either way.
-    """
-    rows: list[dict] = []
-    unit_rows: list[int] = []
-    if not batch:
-        for work in units:
-            produced = expand_unit(module_name, work)
-            unit_rows.append(len(produced))
-            rows.extend(produced)
-        return rows, unit_rows
-
-    import importlib
-
-    from ..batch.planner import batch_groups
-
-    module = importlib.import_module(module_name)
-    batched = getattr(module, "BATCHED_UNITS", {})
-    for group in batch_groups(units, batched):
-        if group.batched_func is None or len(group.units) == 1:
-            for work in group.units:
-                produced = expand_unit(module_name, work)
-                unit_rows.append(len(produced))
-                rows.extend(produced)
-            continue
-        entry = getattr(module, group.batched_func)
-        results = entry(group.seeds, **group.shared_kwargs)
-        if len(results) != len(group.units):
-            raise ReproError(
-                f"{module_name}.{group.batched_func} returned "
-                f"{len(results)} results for {len(group.units)} units"
-            )
-        for produced in results:
-            normalised = _normalise(produced)
-            unit_rows.append(len(normalised))
-            rows.extend(normalised)
-    return rows, unit_rows
-
-
 def execute_shard(payload: dict) -> dict:
     """Run one shard and return its result record.
 
     Payload keys: ``module`` (dotted experiment module), ``experiment``,
     ``config_hash``, ``shard`` (index), ``start`` (global unit offset),
-    ``units``, optional ``batch``, ``timeout_s`` and ``telemetry_path``.
+    ``units``, optional ``timeout_s`` and ``telemetry_path``.
 
     The record mirrors the payload's identity fields and adds ``rows``
     (all units' rows, in unit order), ``unit_rows`` (per-unit row counts,
@@ -118,9 +59,12 @@ def execute_shard(payload: dict) -> dict:
         signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
         began = time.perf_counter()  # repro: noqa[DET001] wall-clock provenance only; rows are unaffected
-        rows, unit_rows = run_shard_units(
-            payload["module"], payload["units"], batch=payload.get("batch", False)
-        )
+        rows: list[dict] = []
+        unit_rows: list[int] = []
+        for work in payload["units"]:
+            produced = expand_unit(payload["module"], work)
+            unit_rows.append(len(produced))
+            rows.extend(produced)
         wall_s = time.perf_counter() - began  # repro: noqa[DET001] wall-clock provenance only; rows are unaffected
     finally:
         if timeout_s:

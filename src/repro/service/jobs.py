@@ -347,7 +347,6 @@ class JobManager:
                 retries=spec.retries,
                 progress=record.log,
                 faults=spec.faults,
-                batch=spec.batch,
                 resolver=spec.resolver,
             )
         except Exception as failure:

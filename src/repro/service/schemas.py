@@ -10,8 +10,7 @@ A job submission is a JSON object::
       "faults": { ... },             // optional repro.faults/1 plan body
       "shard_size": 1,               // optional execution knobs —
       "timeout_s": 30.0,             //   *not* part of the cache key
-      "retries": 1,
-      "batch": false
+      "retries": 1
     }
 
 :func:`job_spec_from_payload` validates and normalises that into a
@@ -29,8 +28,8 @@ flag does.  Distinct selectors are distinct cache entries.
 
 The split between *work* fields (experiment, seeds, params, resolver,
 faults — everything that reaches ``units()`` and therefore the
-``config_hash``) and *execution* fields (shard size, timeout, retries,
-batch) is what makes the result cache content-addressed: two specs that
+``config_hash``) and *execution* fields (shard size, timeout, retries)
+is what makes the result cache content-addressed: two specs that
 describe the same rows share a cache entry no matter how they asked for
 the work to be scheduled.
 """
@@ -58,7 +57,6 @@ _ALLOWED_KEYS = frozenset(
         "shard_size",
         "timeout_s",
         "retries",
-        "batch",
     }
 )
 
@@ -85,7 +83,6 @@ class JobSpec:
     shard_size: int = 1
     timeout_s: float | None = None
     retries: int = 1
-    batch: bool = False
 
     def unit_kwargs(self) -> dict:
         """The ``units()`` overrides this spec describes."""
@@ -109,8 +106,6 @@ class JobSpec:
         if self.timeout_s is not None:
             payload["timeout_s"] = self.timeout_s
         payload["retries"] = self.retries
-        if self.batch:
-            payload["batch"] = True
         return payload
 
 
@@ -236,9 +231,6 @@ def job_spec_from_payload(payload: Any) -> JobSpec:
     if retries < 0:
         raise _bad(f"'retries' must be >= 0, got {retries}")
 
-    batch = payload.get("batch", False)
-    _require_type("batch", batch, bool, "a boolean")
-
     return JobSpec(
         experiment=experiment,
         seeds=seeds,
@@ -248,5 +240,4 @@ def job_spec_from_payload(payload: Any) -> JobSpec:
         shard_size=shard_size,
         timeout_s=timeout_s,
         retries=retries,
-        batch=batch,
     )

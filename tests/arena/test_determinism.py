@@ -4,7 +4,7 @@ Each registered algorithm must be bit-identical across (a) repeated
 runs of the same task, (b) telemetry attached vs. absent — metrics are
 strictly read-only over a run, (c) the dense vs. the sparse SINR
 resolver in the all-near regime where the two engines are exactly
-equal (the idiom of tests/batch/test_sparse_parity.py), and (d) the
+equal (the idiom of tests/coloring/test_runner.py), and (d) the
 serial experiment runner vs. ``repro sweep --jobs 2`` sharding of the
 same arena grid.
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.coloring.audit import IndependenceAuditor
+from repro.invariants import IndependenceAuditor
 
 
 def make_auditor():

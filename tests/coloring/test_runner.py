@@ -131,6 +131,46 @@ class TestConfiguration:
         )
         assert sorted(decisions) == list(range(result.n))
 
+    def test_unknown_resolver_rejected(self):
+        dep = uniform_deployment(8, 2.0, seed=1)
+        with pytest.raises(ConfigurationError):
+            run_mw_coloring(dep, seed=0, resolver="banded")
+
+    def test_sparse_with_non_sinr_channel_rejected(self):
+        dep = uniform_deployment(8, 2.0, seed=1)
+        with pytest.raises(ConfigurationError, match="only applies to the SINR"):
+            run_mw_coloring(dep, seed=0, channel="graph", resolver="sparse")
+
+    def test_listeners_and_trace_do_not_perturb_the_run(self):
+        dep = uniform_deployment(12, 2.4, seed=17)
+        bare = run_mw_coloring(dep, seed=3, trace=True)
+        decisions = []
+        tapped = run_mw_coloring(
+            dep,
+            seed=3,
+            trace=True,
+            decision_listeners=[
+                lambda slot, node, color: decisions.append((slot, node, color))
+            ],
+        )
+        assert decisions
+        assert np.array_equal(bare.coloring.colors, tapped.coloring.colors)
+        assert bare.stats == tapped.stats
+        assert bare.trace.events == tapped.trace.events
+
+
+class TestSchedule:
+    def test_staggered_wakeup_staggers_the_run(self):
+        dep = uniform_deployment(12, 2.4, seed=17)
+        result = run_mw_coloring(
+            dep,
+            seed=7,
+            schedule=WakeupSchedule.staggered(dep.n, 31),
+            trace=True,
+        )
+        wakes = result.trace.of_kind("enter_A")
+        assert wakes and wakes[0].slot != wakes[-1].slot
+
 
 class TestHelpers:
     def test_default_max_slots_positive_and_generous(self):

@@ -137,30 +137,6 @@ class TestStyleRule:
         assert codes_in("clean_module.py", "FUT001") == []
 
 
-class TestBatchRules:
-    def test_bat001_flags_stream_construction_outside_planner(self):
-        assert codes_in("batch/bat_engine.py", "BAT001") == [
-            "BAT001",
-            "BAT001",
-            "BAT001",
-        ]
-
-    def test_bat001_exempts_the_planner(self):
-        assert codes_in("batch/planner.py", "BAT001") == []
-
-    def test_bat001_ignores_files_outside_batch(self):
-        assert codes_in("rng_construct.py", "BAT001") == []
-
-    def test_bat001_is_clean_on_the_real_subsystem(self):
-        import repro.batch
-
-        batch_dir = pathlib.Path(repro.batch.__file__).parent
-        report = lint_paths(
-            [batch_dir], root=batch_dir.parent.parent, select=["BAT001"]
-        )
-        assert [finding.code for finding in report.findings] == []
-
-
 class TestAlgorithmRules:
     def test_alg001_flags_the_unregistered_entry_only(self):
         assert codes_in("algorithms/alg_broken.py", "ALG001") == ["ALG001"]

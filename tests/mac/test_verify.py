@@ -10,7 +10,7 @@ from repro.graphs.coloring import Coloring
 from repro.graphs.power import power_graph
 from repro.graphs.udg import UnitDiskGraph
 from repro.mac.tdma import TDMASchedule
-from repro.mac.verify import verify_tdma_broadcast
+from repro.invariants import verify_tdma_broadcast
 
 
 @pytest.fixture(scope="module")

@@ -22,18 +22,13 @@ from repro.experiments._units import grid_units, run_units
 TITLE = "FAKE: orchestration fixture experiment"
 COLUMNS = ["x", "seed", "value"]
 
-#: Batched twin for the --batch worker path (see repro.batch.planner).
-BATCHED_UNITS = {"run_single": "run_single_batched"}
-
 __all__ = [
-    "BATCHED_UNITS",
     "COLUMNS",
     "TITLE",
     "check",
     "count_marks",
     "run",
     "run_single",
-    "run_single_batched",
     "units",
 ]
 
@@ -72,14 +67,6 @@ def run_single(
         if attempts <= fail_first:
             raise RuntimeError(f"injected failure {attempts} for x={x} seed={seed}")
     return {"x": x, "seed": seed, "value": x * 10 + seed}
-
-
-def run_single_batched(seeds: Sequence[int], x: int, **knobs) -> list[dict]:
-    """All seeds of one ``x`` as a single call; drops one batch marker."""
-    exec_dir = knobs.get("exec_dir")
-    if exec_dir is not None:
-        _mark(exec_dir, f"batchcall-x{x}-S{len(seeds)}")
-    return [run_single(seed, x, **knobs) for seed in seeds]
 
 
 def units(

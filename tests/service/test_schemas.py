@@ -20,7 +20,7 @@ class TestAccept:
         spec = job_spec_from_payload({"experiment": "exp1"})
         assert spec == JobSpec(experiment="exp1", seeds=2)
         assert spec.shard_size == 1 and spec.retries == 1
-        assert spec.timeout_s is None and not spec.batch
+        assert spec.timeout_s is None
 
     def test_default_and_explicit_seed_count_are_one_cache_entry(self):
         # the default is normalised to an explicit count, so both specs
@@ -46,13 +46,12 @@ class TestAccept:
             "shard_size": 2,
             "timeout_s": 30,
             "retries": 0,
-            "batch": True,
         }
         spec = job_spec_from_payload(payload)
         assert spec.seeds == 3
         assert spec.params == {"patterns": ["synchronous"]}
         assert spec.faults == faults
-        assert spec.timeout_s == 30.0 and spec.retries == 0 and spec.batch
+        assert spec.timeout_s == 30.0 and spec.retries == 0
         echoed = spec.as_dict()
         assert echoed["experiment"] == "exp13"
         assert echoed["faults"] == faults
@@ -85,6 +84,10 @@ class TestReject:
 
     def test_unknown_fields_name_the_offender(self):
         reject({"experiment": "exp1", "resolvr": "sparse"}, "resolvr")
+
+    def test_batch_is_an_unknown_field(self):
+        # the batched engine is gone, and so is its execution knob
+        reject({"experiment": "exp1", "batch": True}, r"unknown field\(s\) \['batch'\]")
 
     def test_unknown_experiment_lists_the_registry(self):
         reject({"experiment": "nope"}, "exp1")
@@ -133,4 +136,3 @@ class TestReject:
         reject({"experiment": "exp1", "shard_size": 0}, "shard_size")
         reject({"experiment": "exp1", "timeout_s": 0}, "timeout_s")
         reject({"experiment": "exp1", "retries": -1}, "retries")
-        reject({"experiment": "exp1", "batch": "yes"}, "batch")

@@ -16,14 +16,7 @@ This drives the shipped CLI exactly the way a user would:
 Any deviation — wrong exit code, nothing persisted, nothing resumed,
 row mismatch — exits non-zero, so CI fails loudly.
 
-With ``--batch`` every leg runs with ``--seeds 4`` and the sweep legs
-additionally pass ``--batch --shard-size 2``, so each of the 8 shards
-folds its seed-contiguous units into one ``repro.batch`` execution
-(at the default 2 seeds the sweep finishes before the interrupt can
-land); the final parity assertion then also proves batched rows ==
-serial rows end to end through the CLI.
-
-Run:  PYTHONPATH=src python tools/sweep_smoke.py [--id exp1] [--batch]
+Run:  PYTHONPATH=src python tools/sweep_smoke.py [--id exp1]
 """
 
 from __future__ import annotations
@@ -70,14 +63,7 @@ def main(argv=None) -> int:
         "--id", default="exp1",
         help="experiment to sweep (needs multi-second shards: exp1)",
     )
-    parser.add_argument(
-        "--batch", action="store_true",
-        help="run the sweep legs with --batch --shard-size 2 so each "
-             "shard executes its seeds as one batched run",
-    )
     args = parser.parse_args(argv)
-    batch_args = ["--batch", "--shard-size", "2"] if args.batch else []
-    seeds_args = ["--seeds", "4"] if args.batch else []
 
     with tempfile.TemporaryDirectory(prefix="sweep-smoke-") as tmp:
         tmp_path = pathlib.Path(tmp)
@@ -88,19 +74,17 @@ def main(argv=None) -> int:
         print(f"== serial baseline: repro experiment {args.id}")
         serial = _cli(
             "experiment", args.id, "--telemetry-out", str(serial_out),
-            *seeds_args, stdout=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
         )
         if serial.returncode != 0:
             print(f"FAIL: serial run exited {serial.returncode}")
             return 1
         serial_rows = read_run(serial_out).rows
 
-        mode = " --batch --shard-size 2" if args.batch else ""
-        print(f"== interrupted sweep: repro sweep {args.id} --jobs 2{mode}")
+        print(f"== interrupted sweep: repro sweep {args.id} --jobs 2")
         child = subprocess.Popen(
             [sys.executable, "-m", "repro", "sweep", args.id,
-             "--jobs", "2", "--store", str(store),
-             *batch_args, *seeds_args],
+             "--jobs", "2", "--store", str(store)],
             env=_env(), cwd=str(REPO_ROOT), text=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )
@@ -120,11 +104,10 @@ def main(argv=None) -> int:
             return 1
         print(f"   drained cleanly with {len(persisted)} shard(s) persisted")
 
-        print(f"== resume: repro sweep {args.id} --jobs 2 --resume{mode}")
+        print(f"== resume: repro sweep {args.id} --jobs 2 --resume")
         resumed = _cli(
             "sweep", args.id, "--jobs", "2", "--store", str(store),
             "--resume", "--telemetry-out", str(sweep_out),
-            *batch_args, *seeds_args,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         )
         if resumed.returncode != 0:
@@ -139,8 +122,7 @@ def main(argv=None) -> int:
             print("FAIL: resumed sweep rows differ from the serial run")
             return 1
 
-        suffix = "+batch" if args.batch else ""
-        print(f"OK: {len(sweep_rows)} rows, parallel+resume{suffix} == serial")
+        print(f"OK: {len(sweep_rows)} rows, parallel+resume == serial")
         return 0
 
 
