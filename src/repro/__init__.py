@@ -85,7 +85,6 @@ from .simulation import WakeupSchedule
 from .sinr import (
     CollisionFreeChannel,
     GraphChannel,
-    LossyChannel,
     PhysicalParams,
     ProtocolChannel,
     SINRChannel,
@@ -109,7 +108,6 @@ __all__ = [
     "GraphChannel",
     "IndependenceAuditor",
     "Jammer",
-    "LossyChannel",
     "MessageFaults",
     "NodeOutage",
     "SlotSkew",

@@ -2,12 +2,13 @@
 
 Every entry implements :class:`~repro.algorithms.base.ColoringAlgorithm`
 (``name``, ``palette_bound(delta)``, ``run(task)`` and — for SINR
-protocols — per-node state machines that execute under both simulation
-engines) and registers itself on import, so this package's import is
+protocols — per-node state machines for the event-driven engine) and
+registers itself on import, so this package's import is
 the single switch that populates the registry:
 
-* ``mw`` — the paper's Moscibroda-Wattenhofer coloring, delegating to
-  the canonical run harness (the reference entry);
+* ``mw`` — the paper's Moscibroda-Wattenhofer coloring (the reference
+  entry); every SINR protocol, this one included, runs through the one
+  harness :func:`repro.coloring.runner.run_protocol`;
 * ``fuchs_prutkin`` — the simple ``Delta+1`` SINR coloring of Fuchs and
   Prutkin (arXiv:1502.02426), ``O(Delta log n)`` slots;
 * ``kuhn_multicolor`` — Kuhn's constant-time local multicoloring
@@ -32,7 +33,7 @@ from .base import (
 )
 from .classical import GreedyBaseline, LubyBaseline
 from .fuchs_prutkin import FPColoring, FPColoringNode
-from .harness import EventNodeProcess, run_coloring_algorithm, run_event_protocol
+from .harness import run_coloring_algorithm, run_event_protocol
 from .kuhn import KuhnMulticolor, local_multicoloring
 from .mw import MWColoring
 from .registry import (
@@ -46,7 +47,6 @@ __all__ = [
     "ColoringAlgorithm",
     "ColoringRunResult",
     "ColoringTask",
-    "EventNodeProcess",
     "FPColoring",
     "FPColoringNode",
     "GreedyBaseline",

@@ -10,10 +10,10 @@ algorithm through three surfaces:
   the algorithm promises for maximum degree ``delta`` (the run-exact
   bound, which may be tighter, travels on the result);
 * execution — ``run(task)`` mapping one :class:`ColoringTask` to one
-  :class:`ColoringRunResult`, and, for SINR-protocol entries,
-  ``build_nodes(ctx)`` exposing the per-node state machine so the same
-  implementation executes under both the event-driven engine and the
-  per-slot loop (see :mod:`repro.algorithms.harness`).
+  :class:`ColoringRunResult`, and, for SINR-protocol entries that run
+  through :func:`repro.algorithms.harness.run_event_protocol`,
+  ``build_nodes(ctx)`` / ``slot_budget(ctx)`` exposing the per-node
+  state machine and its default budget.
 
 Results normalise every algorithm — a centralised greedy, a classical
 message-passing round protocol, or a full SINR state machine — into the
@@ -41,8 +41,7 @@ from ..invariants import (
     palette_violations,
 )
 from ..mac.tdma import TDMASchedule
-from ..simulation.event_sim import EventNode
-from ..simulation.simulator import RunStats
+from ..simulation.event_sim import EventNode, RunStats
 from ..sinr.params import PhysicalParams
 from ..telemetry import Telemetry
 
@@ -179,18 +178,9 @@ class ColoringRunResult:
         return int(self.colors.max(initial=-1))
 
     def coloring(self) -> Coloring:
-        """The full coloring with undecided nodes clamped to a sentinel.
-
-        Same convention as the MW result: the sentinel sits one past the
-        largest decided color, so the ``Coloring`` type (non-negative)
-        accepts it while adjacent undecided nodes still fail validity
-        checks loudly.
-        """
-        reported = self.colors.copy()
-        if (reported < 0).any():
-            sentinel = reported.max(initial=0) + 1
-            reported[reported < 0] = sentinel
-        return Coloring(reported)
+        """The full coloring with undecided nodes clamped to a sentinel
+        (see :meth:`repro.graphs.coloring.Coloring.clamped`)."""
+        return Coloring.clamped(self.colors)
 
     def schedule(self) -> TDMASchedule:
         """The TDMA frame induced by the coloring (``mac/`` verify path)."""
@@ -270,9 +260,9 @@ class ColoringAlgorithm(ABC):
 
         The returned nodes must expose ``color`` / ``decision_slot``
         attributes (``None`` until decided) and run unmodified under the
-        event-driven engine — the harness adapter then also drives them
-        through the per-slot simulator.  Non-protocol entries keep the
-        default, which says so loudly.
+        event-driven engine (:func:`repro.algorithms.harness.run_event_protocol`).
+        Entries without such machines keep the default, which says so
+        loudly.
         """
         raise ConfigurationError(
             f"algorithm {self.name!r} ({self.model}) has no per-node "

@@ -1,37 +1,20 @@
-"""Shared execution harness for SINR-protocol zoo entries.
+"""The zoo's front door and its protocol adapter over the one run harness.
 
-:func:`run_event_protocol` is the arena's counterpart of the MW run
-harness (:func:`repro.coloring.runner.run_mw_coloring`): identical
-wiring order — graph, channel, fault wrapping, wake-up schedule from
-the plan, telemetry attachment, live Theorem-1 audit — so every
-protocol algorithm runs under *exactly* the environment MW runs under
-and head-to-head rows are apples-to-apples.
-
-:class:`EventNodeProcess` adapts any :class:`~repro.simulation.event_sim.EventNode`
-state machine to the per-slot engine
-(:class:`~repro.simulation.simulator.SlotSimulator`): rates become
-per-slot coin flips, the single timer becomes a slot comparison.  The
-two executions are statistically identical (the event engine samples
-the geometric gap between the same Bernoulli successes) but draw RNG in
-different patterns, so cross-engine runs agree in distribution, not bit
-for bit — the conformance suite checks invariants, not byte equality,
-across engines.
+:func:`run_coloring_algorithm` runs any registered algorithm by name.
+:func:`run_event_protocol` runs a protocol entry's ``build_nodes``
+machines through :func:`repro.coloring.runner.run_protocol` — the same
+function every MW run goes through — with the live Theorem 1 audit
+always attached, so every protocol algorithm runs under *exactly* the
+environment MW runs under and head-to-head rows are apples-to-apples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, cast
+from dataclasses import replace
+from typing import Any
 
-import numpy as np
-
-from .._validation import require_int
-from ..coloring.runner import make_channel
-from ..faults.channel import FaultyChannel
+from ..coloring.runner import run_protocol
 from ..invariants import IndependenceAuditor
-from ..simulation.event_sim import EventApi, EventNode, EventSimulator
-from ..simulation.node import NodeProcess, SlotApi
-from ..simulation.scheduler import WakeupSchedule
 from .base import (
     ColoringAlgorithm,
     ColoringRunResult,
@@ -39,7 +22,7 @@ from .base import (
     ProtocolContext,
 )
 
-__all__ = ["EventNodeProcess", "run_coloring_algorithm", "run_event_protocol"]
+__all__ = ["run_coloring_algorithm", "run_event_protocol"]
 
 
 def run_coloring_algorithm(
@@ -83,190 +66,52 @@ def run_coloring_algorithm(
 def run_event_protocol(
     algorithm: ColoringAlgorithm, task: ColoringTask
 ) -> ColoringRunResult:
-    """Run a protocol entry's node machines under the event engine.
+    """Run a protocol entry's node machines through the one run harness.
 
-    Mirrors the MW harness wiring step for step; see the module
-    docstring.  The live independence audit is always attached (the
-    arena's conformance contract), and telemetry — when the task
-    carries it — observes decisions exactly like the MW path does.
+    The live independence audit is always attached (the arena's
+    conformance contract), and telemetry — when the task carries it —
+    observes decisions exactly like the MW path does.
     """
     graph = task.graph()
     params = task.resolved_params()
-    n = graph.n
-    seed = task.seed
-
-    channel_obj = make_channel(
-        task.channel, graph.positions, params, resolver=task.resolver
-    )
-    fault_channel = None
-    if task.faults is not None:
-        fault_channel = FaultyChannel(channel_obj, task.faults, seed=seed)
-        channel_obj = fault_channel
-
-    if task.faults is not None and task.faults.wakeup is not None:
-        schedule = task.faults.wakeup.schedule(n, seed)
-    else:
-        schedule = WakeupSchedule.synchronous(n)
-
-    telemetry = task.telemetry
-    if telemetry is not None:
-        telemetry.attach_channel(channel_obj)
-        telemetry.meta.setdefault("algorithm", algorithm.name)
-
     auditor = IndependenceAuditor(
         positions=graph.positions, radius=graph.radius
     )
-    listeners: list[Callable[[int, int, int], None]] = [auditor.on_decision]
-    if telemetry is not None and telemetry.metrics.enabled:
-        decisions = telemetry.metrics.counter("coloring.decisions")
-        decision_slot = telemetry.metrics.histogram("coloring.decision_slot")
-        max_color = telemetry.metrics.gauge("coloring.max_color")
-
-        def observe_decision(slot: int, node: int, color: int) -> None:
-            decisions.inc()
-            decision_slot.observe(slot)
-            max_color.set_max(color)
-
-        listeners.append(observe_decision)
-
-    ctx = ProtocolContext(
-        graph=graph,
-        params=params,
-        seed=seed,
-        decision_listeners=tuple(listeners),
+    ctx = ProtocolContext(graph=graph, params=params, seed=task.seed)
+    outcome = run_protocol(
+        algorithm.name,
+        graph,
+        params,
+        lambda listeners: algorithm.build_nodes(
+            replace(ctx, decision_listeners=listeners)
+        ),
+        (
+            task.max_slots
+            if task.max_slots is not None
+            else algorithm.slot_budget(ctx)
+        ),
+        seed=task.seed,
+        channel=task.channel,
+        resolver=task.resolver,
+        faults=task.faults,
+        decision_listeners=(auditor.on_decision,),
+        telemetry=task.telemetry,
     )
-    nodes = list(algorithm.build_nodes(ctx))
-
-    simulator = EventSimulator(
-        channel=channel_obj,
-        nodes=nodes,
-        schedule=schedule,
-        seed=seed,
-        metrics=telemetry.metrics if telemetry is not None else None,
-        profiler=telemetry.profiler if telemetry is not None else None,
-    )
-    budget = (
-        task.max_slots
-        if task.max_slots is not None
-        else algorithm.slot_budget(ctx)
-    )
-    require_int("max_slots", budget, minimum=1)
-    stats = simulator.run(budget)
-
-    colors = np.asarray(
-        [
-            node.color if getattr(node, "color", None) is not None else -1
-            for node in nodes
-        ],
-        dtype=np.int64,
-    )
-    decision_slots = np.asarray(
-        [
-            node.decision_slot
-            if getattr(node, "decision_slot", None) is not None
-            else -1
-            for node in nodes
-        ],
-        dtype=np.int64,
-    )
+    stats = outcome.stats
     convergence = (
-        int(decision_slots.max(initial=0)) + 1
+        int(outcome.decision_slots.max(initial=0)) + 1
         if stats.completed
         else stats.slots_run
     )
     return ColoringRunResult(
         algorithm=algorithm.name,
         graph=graph,
-        colors=colors,
-        decision_slots=decision_slots,
+        colors=outcome.colors,
+        decision_slots=outcome.decision_slots,
         palette_bound=algorithm.palette_bound(ctx.delta),
         completed=stats.completed,
         convergence_slots=convergence,
         audit_violations=tuple(auditor.violations),
         stats=stats,
-        fault_events=(
-            fault_channel.events.as_dict()
-            if fault_channel is not None
-            else None
-        ),
+        fault_events=outcome.fault_events,
     )
-
-
-@dataclass
-class _SlotBackedApi:
-    """EventApi-shaped scheduling surface backed by a per-slot loop.
-
-    Implements the full :class:`~repro.simulation.event_sim.EventApi`
-    contract (``flip`` / ``set_rate`` / ``set_timer`` / ``cancel_timer``
-    / ``slot`` / ``rng``) with local state instead of a simulator heap;
-    :class:`EventNodeProcess` evaluates the rate as a literal per-slot
-    Bernoulli coin and the timer as a slot comparison.
-    """
-
-    node: int
-    rng: np.random.Generator
-    slot: int = 0
-    rate: float = 0.0
-    timer: int | None = None
-
-    def flip(self, probability: float) -> bool:
-        if probability <= 0.0:
-            return False
-        if probability >= 1.0:
-            return True
-        return bool(self.rng.random() < probability)
-
-    def set_rate(self, probability: float) -> None:
-        self.rate = float(probability)
-
-    def set_timer(self, slot: int) -> None:
-        self.timer = int(slot)
-
-    def cancel_timer(self) -> None:
-        self.timer = None
-
-
-class EventNodeProcess(NodeProcess):
-    """Drive an :class:`EventNode` state machine from the per-slot engine.
-
-    Per slot, in the event engine's order: the armed timer fires first
-    (when its slot has arrived), then the transmission coin is flipped
-    at the node's current rate and a due transmission asks the machine
-    for its payload.  Receptions delegate unchanged.
-    """
-
-    def __init__(self, machine: EventNode) -> None:
-        self._machine = machine
-        self._api: _SlotBackedApi | None = None
-
-    @property
-    def machine(self) -> EventNode:
-        """The wrapped event-driven state machine."""
-        return self._machine
-
-    def _bind(self, api: SlotApi) -> EventApi:
-        if self._api is None:
-            self._api = _SlotBackedApi(node=api.node, rng=api.rng)
-        self._api.slot = api.slot
-        return cast(EventApi, self._api)
-
-    def on_wake(self, api: SlotApi) -> None:
-        self._machine.on_wake(self._bind(api))
-
-    def on_slot(self, api: SlotApi) -> Any | None:
-        bound = self._bind(api)
-        local = self._api
-        assert local is not None
-        if local.timer is not None and local.timer <= api.slot:
-            local.timer = None
-            self._machine.on_timer(bound)
-        if local.rate > 0.0 and local.flip(local.rate):
-            return self._machine.make_payload(bound)
-        return None
-
-    def on_receive(self, api: SlotApi, sender: int, payload: Any) -> None:
-        self._machine.on_receive(self._bind(api), sender, payload)
-
-    @property
-    def decided(self) -> bool:
-        return self._machine.decided

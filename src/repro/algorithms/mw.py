@@ -1,32 +1,20 @@
 """MW coloring re-registered as the arena's reference entry.
 
-``run`` delegates verbatim to the canonical harness
-(:func:`repro.coloring.runner.run_mw_coloring_audited`), so the arena
-row for ``mw`` is produced by the *same* code path as ``repro color``
-and every EXP-1..13 experiment — registering the reference entry adds a
-view, not a second implementation.  ``build_nodes`` exposes the
-Figure 1-3 state machine itself for the dual-engine conformance test.
+``run`` calls :func:`repro.coloring.runner.run_mw_coloring_audited`,
+which runs through the one harness
+(:func:`repro.coloring.runner.run_protocol`) like every other protocol
+entry, so the arena row for ``mw`` is produced by the *same* code path
+as ``repro color`` and every EXP-1..13 experiment — registering the
+reference entry adds a view, not a second implementation.  The row
+keeps the run-exact palette bound from the measured constants.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..coloring.mw_node import MWColoringNode, MWSharedConfig
-from ..coloring.runner import (
-    build_constants,
-    default_max_slots,
-    run_mw_coloring_audited,
-)
-from ..simulation.event_sim import EventNode
-from .base import (
-    ColoringAlgorithm,
-    ColoringRunResult,
-    ColoringTask,
-    ProtocolContext,
-)
+from ..coloring.runner import run_mw_coloring_audited
+from .base import ColoringAlgorithm, ColoringRunResult, ColoringTask
 from .registry import register_algorithm
 
 __all__ = ["MWColoring"]
@@ -64,8 +52,6 @@ class MWColoring(ColoringAlgorithm):
             telemetry=task.telemetry,
             faults=task.faults,
         )
-        if task.telemetry is not None:
-            task.telemetry.meta.setdefault("algorithm", self.name)
         colors = np.where(
             result.decision_slots >= 0, result.coloring.colors, -1
         ).astype(np.int64)
@@ -84,16 +70,4 @@ class MWColoring(ColoringAlgorithm):
                 "leaders": int(len(result.leaders)),
                 "phi_2rt": result.constants.phi_2rt,
             },
-        )
-
-    def build_nodes(self, ctx: ProtocolContext) -> Sequence[EventNode]:
-        constants = build_constants("practical", ctx.graph, ctx.params, ctx.n)
-        shared = MWSharedConfig(
-            constants=constants, decision_listeners=ctx.decision_listeners
-        )
-        return [MWColoringNode(node_id=i, config=shared) for i in range(ctx.n)]
-
-    def slot_budget(self, ctx: ProtocolContext) -> int:
-        return default_max_slots(
-            build_constants("practical", ctx.graph, ctx.params, ctx.n)
         )

@@ -6,7 +6,8 @@
 * :mod:`repro.coloring.messages` — the three message families
   ``M_A^i(v, c_v)``, ``M_C^i(v[, w, tc])``, ``M_R(v, L(v))``.
 * :mod:`repro.coloring.mw_node` — the node state machine of Figures 1-3.
-* :mod:`repro.coloring.runner` — one-call execution harness.
+* :mod:`repro.coloring.runner` — the one run harness every SINR protocol
+  goes through, and the MW adapters over it.
 * :mod:`repro.coloring.distance_d` — distance-d coloring via power boosting
   (Section V).
 * :mod:`repro.coloring.palette` — palette reduction to Delta+1 colors.

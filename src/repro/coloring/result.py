@@ -8,7 +8,7 @@ import numpy as np
 
 from ..graphs.coloring import Coloring
 from ..graphs.udg import UnitDiskGraph
-from ..simulation.simulator import RunStats
+from ..simulation.event_sim import RunStats
 from ..simulation.trace import TraceRecorder
 from .constants import AlgorithmConstants
 

@@ -1,20 +1,25 @@
-"""One-call harness for running the MW coloring.
+"""The one coloring run harness, and MW's adapters over it.
 
-:func:`run_mw_coloring` wires the whole stack — deployment, unit disk
-graph, channel, constants, node processes, wake-up schedule, observers —
-and returns an :class:`~repro.coloring.result.MWColoringResult`.
+:func:`run_protocol` is the only code that wires and runs an
+:class:`~repro.simulation.event_sim.EventSimulator` for a coloring run:
+channel, fault wrapping, wake-up schedule, telemetry, decision listeners
+(the live Theorem 1 audit and the decision metrics), the engine itself
+and color extraction.  Every SINR protocol goes through it — the MW
+coloring via :func:`run_mw_coloring` / :func:`run_mw_coloring_audited`
+(the entry point of the examples, the CLI and every experiment), and
+the zoo's other protocols via
+:func:`repro.algorithms.harness.run_event_protocol` — so head-to-head
+rows compare algorithms run under the identical environment.
 
-The harness is the public entry point used by the examples, the tests and
-every experiment; keeping the wiring in one place guarantees all of them
-run the identical protocol.  Execution uses the event-driven engine
-(:class:`~repro.simulation.event_sim.EventSimulator`), which is
-statistically identical to the per-slot loop but only pays for active
-slots.
+The MW adapters only build the Figure 1-3 node machines from the
+deployment's constants and map the outcome to an
+:class:`~repro.coloring.result.MWColoringResult`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +35,7 @@ from ..faults.plan import FaultPlan
 from ..invariants import IndependenceAuditor
 from ..sinr.channel import Channel, CollisionFreeChannel, GraphChannel, SINRChannel
 from ..sinr.params import PhysicalParams
-from ..simulation.event_sim import EventSimulator
+from ..simulation.event_sim import EventNode, EventSimulator, RunStats
 from ..simulation.scheduler import WakeupSchedule
 from ..simulation.trace import SlotObserver, TraceRecorder
 from ..telemetry import Telemetry
@@ -39,12 +44,17 @@ from .mw_node import MWColoringNode, MWSharedConfig
 from .result import MWColoringResult
 
 __all__ = [
+    "ProtocolRun",
     "build_constants",
     "default_max_slots",
     "make_channel",
     "run_mw_coloring",
     "run_mw_coloring_audited",
+    "run_protocol",
 ]
+
+#: ``listener(slot, node, color)``, fired the moment a node decides.
+DecisionListener = Callable[[int, int, int], None]
 
 
 def default_max_slots(constants: AlgorithmConstants) -> int:
@@ -92,7 +102,6 @@ def make_channel(
     kind: str,
     positions: np.ndarray,
     params: PhysicalParams,
-    half_duplex: bool = True,
     resolver: str = "dense",
 ) -> Channel:
     """Channel factory: ``"sinr"``, ``"graph"`` or ``"collision_free"``.
@@ -105,14 +114,128 @@ def make_channel(
     require_in("channel", kind, ("sinr", "graph", "collision_free"))
     require_in("resolver", resolver, ("dense", "sparse"))
     if kind == "sinr":
-        return SINRChannel(positions, params, half_duplex=half_duplex, resolver=resolver)
+        return SINRChannel(positions, params, resolver=resolver)
     if resolver != "dense":
         raise ConfigurationError(
             f"resolver='sparse' only applies to the SINR channel, not {kind!r}"
         )
     if kind == "graph":
-        return GraphChannel(positions, params.r_t, half_duplex=half_duplex)
-    return CollisionFreeChannel(positions, params.r_t, half_duplex=half_duplex)
+        return GraphChannel(positions, params.r_t)
+    return CollisionFreeChannel(positions, params.r_t)
+
+
+@dataclass(frozen=True)
+class ProtocolRun:
+    """What :func:`run_protocol` returns, before any per-algorithm mapping.
+
+    ``colors`` and ``decision_slots`` hold ``-1`` for nodes that never
+    decided; ``fault_events`` carries the fault layer's injection
+    counters when the run had a plan (None for clean runs).
+    """
+
+    colors: np.ndarray
+    decision_slots: np.ndarray
+    stats: RunStats
+    fault_events: dict[str, int] | None
+
+
+def run_protocol(
+    algorithm: str,
+    graph: UnitDiskGraph,
+    params: PhysicalParams,
+    build_nodes: Callable[[tuple[DecisionListener, ...]], Sequence[EventNode]],
+    max_slots: int,
+    *,
+    seed: int = 0,
+    channel: str = "sinr",
+    resolver: str = "dense",
+    faults: FaultPlan | None = None,
+    schedule: WakeupSchedule | None = None,
+    observers: Sequence[SlotObserver] = (),
+    decision_listeners: Sequence[DecisionListener] = (),
+    telemetry: Telemetry | None = None,
+) -> ProtocolRun:
+    """Run one SINR protocol's node machines on ``graph`` under the event engine.
+
+    The wiring, in order: the ``channel`` (with ``resolver``); the
+    :class:`~repro.faults.FaultyChannel` wrap when ``faults`` is given
+    (even an empty plan — wrapping is bit-neutral); the wake-up
+    ``schedule``, else the plan's wake-up spec, else synchronous wake-up;
+    telemetry (``meta["algorithm"]`` set to ``algorithm`` unless the
+    caller named it, channel metrics attached); the decision listeners —
+    the caller's ``decision_listeners`` first, then telemetry's decision
+    metrics — handed to ``build_nodes``, which returns one node machine
+    per node exposing ``color`` / ``decision_slot`` (``None`` until
+    decided); then the engine runs for at most ``max_slots`` slots with
+    ``observers`` attached.  ``seed`` drives the node coins, the fault
+    RNG and the plan's wake-up draw.  Telemetry never alters the run.
+    """
+    require_int("max_slots", max_slots, minimum=1)
+    n = graph.n
+    channel_obj = make_channel(channel, graph.positions, params, resolver=resolver)
+    fault_channel = None
+    if faults is not None:
+        fault_channel = FaultyChannel(channel_obj, faults, seed=seed)
+        channel_obj = fault_channel
+
+    if schedule is None:
+        if faults is not None and faults.wakeup is not None:
+            schedule = faults.wakeup.schedule(n, seed)
+        else:
+            schedule = WakeupSchedule.synchronous(n)
+
+    listeners = list(decision_listeners)
+    if telemetry is not None:
+        telemetry.meta.setdefault("algorithm", algorithm)
+        telemetry.attach_channel(channel_obj)
+        if telemetry.metrics.enabled:
+            decisions = telemetry.metrics.counter("coloring.decisions")
+            decision_slot = telemetry.metrics.histogram("coloring.decision_slot")
+            max_color = telemetry.metrics.gauge("coloring.max_color")
+
+            def observe_decision(slot: int, node: int, color: int) -> None:
+                decisions.inc()
+                decision_slot.observe(slot)
+                max_color.set_max(color)
+
+            listeners.append(observe_decision)
+    nodes = list(build_nodes(tuple(listeners)))
+
+    simulator = EventSimulator(
+        channel=channel_obj,
+        nodes=nodes,
+        schedule=schedule,
+        seed=seed,
+        observers=list(observers),
+        metrics=telemetry.metrics if telemetry is not None else None,
+        profiler=telemetry.profiler if telemetry is not None else None,
+    )
+    stats = simulator.run(max_slots)
+
+    colors = np.asarray(
+        [
+            node.color if getattr(node, "color", None) is not None else -1
+            for node in nodes
+        ],
+        dtype=np.int64,
+    )
+    decision_slots = np.asarray(
+        [
+            node.decision_slot
+            if getattr(node, "decision_slot", None) is not None
+            else -1
+            for node in nodes
+        ],
+        dtype=np.int64,
+    )
+    return ProtocolRun(
+        colors=colors,
+        decision_slots=decision_slots,
+        stats=stats,
+        fault_events=(
+            fault_channel.events.as_dict() if fault_channel is not None else None
+        ),
+    )
 
 
 def run_mw_coloring(
@@ -123,12 +246,11 @@ def run_mw_coloring(
     preset: str = "practical",
     seed: int = 0,
     schedule: WakeupSchedule | None = None,
-    channel: str | Channel = "sinr",
+    channel: str = "sinr",
     max_slots: int | None = None,
     trace: bool = False,
     observers: Sequence[SlotObserver] = (),
-    decision_listeners: Sequence[Callable[[int, int, int], None]] = (),
-    half_duplex: bool = True,
+    decision_listeners: Sequence[DecisionListener] = (),
     resolver: str = "dense",
     telemetry: Telemetry | None = None,
     faults: FaultPlan | None = None,
@@ -152,8 +274,8 @@ def run_mw_coloring(
     schedule:
         Wake-up schedule; defaults to synchronous wake-up at slot 0.
     channel:
-        ``"sinr"`` (the paper's model), ``"graph"`` (the original MW model),
-        ``"collision_free"``, or a prebuilt :class:`Channel`.
+        ``"sinr"`` (the paper's model), ``"graph"`` (the original MW model)
+        or ``"collision_free"``.
     max_slots:
         Hard slot budget; defaults to :func:`default_max_slots`.
     trace:
@@ -166,7 +288,7 @@ def run_mw_coloring(
         SINR interference backend: ``"dense"`` (exact, default) or
         ``"sparse"`` (grid-bucketed near field + certified far-field
         bound, for large deployments — see ``docs/SCALING.md``).  Only
-        meaningful when ``channel`` is the string ``"sinr"``.
+        meaningful when ``channel`` is ``"sinr"``.
     telemetry:
         A :class:`~repro.telemetry.Telemetry` bundle.  When given, the
         channel and simulator emit metrics into it, the slot profiler is
@@ -189,178 +311,89 @@ def run_mw_coloring(
         ``result.stats.completed`` says whether every node decided within
         the budget.
     """
-    result, _ = _run(
-        deployment,
-        params,
-        constants=constants,
-        preset=preset,
-        seed=seed,
-        schedule=schedule,
-        channel=channel,
-        max_slots=max_slots,
-        trace=trace,
-        audit_independence=False,
-        observers=observers,
-        decision_listeners=decision_listeners,
-        half_duplex=half_duplex,
-        resolver=resolver,
-        telemetry=telemetry,
-        faults=faults,
-    )
-    return result
-
-
-def run_mw_coloring_audited(
-    deployment: Deployment | np.ndarray,
-    params: PhysicalParams | None = None,
-    **kwargs,
-) -> tuple[MWColoringResult, IndependenceAuditor]:
-    """Like :func:`run_mw_coloring` but with a live Theorem 1 audit attached.
-
-    Returns the result together with the auditor; ``auditor.clean`` is the
-    empirical Theorem 1 verdict for the run.
-    """
-    kwargs["audit_independence"] = True
-    return _run(deployment, params, **kwargs)
-
-
-def _run(
-    deployment: Deployment | np.ndarray,
-    params: PhysicalParams | None = None,
-    *,
-    constants: AlgorithmConstants | None = None,
-    preset: str = "practical",
-    seed: int = 0,
-    schedule: WakeupSchedule | None = None,
-    channel: str | Channel = "sinr",
-    max_slots: int | None = None,
-    trace: bool = False,
-    audit_independence: bool = False,
-    observers: Sequence[SlotObserver] = (),
-    decision_listeners: Sequence[Callable[[int, int, int], None]] = (),
-    half_duplex: bool = True,
-    resolver: str = "dense",
-    telemetry: Telemetry | None = None,
-    faults: FaultPlan | None = None,
-) -> tuple[MWColoringResult, IndependenceAuditor | None]:
-    positions = (
-        deployment.positions if isinstance(deployment, Deployment) else deployment
-    )
     if params is None:
         params = PhysicalParams().with_r_t(1.0)
-
-    graph = UnitDiskGraph(positions, params.r_t)
+    graph = UnitDiskGraph(_positions(deployment), params.r_t)
     n = graph.n
     if n == 0:
         raise ConfigurationError("cannot color an empty deployment")
-
     if constants is None:
         constants = build_constants(preset, graph, params, n)
     if constants.n != n:
         raise ConfigurationError(
             f"constants tuned for n={constants.n} but deployment has n={n}"
         )
-
-    if isinstance(channel, Channel):
-        channel_obj = channel
-    else:
-        channel_obj = make_channel(
-            channel, graph.positions, params, half_duplex, resolver=resolver
-        )
-
-    fault_channel = None
-    if faults is not None:
-        if not isinstance(faults, FaultPlan):
-            raise ConfigurationError(
-                f"faults must be a FaultPlan, got {faults!r}"
-            )
-        fault_channel = FaultyChannel(channel_obj, faults, seed=seed)
-        channel_obj = fault_channel
-
-    if schedule is None:
-        if faults is not None and faults.wakeup is not None:
-            schedule = faults.wakeup.schedule(n, seed)
-        else:
-            schedule = WakeupSchedule.synchronous(n)
-
     if telemetry is not None:
         trace = trace or telemetry.trace
-        telemetry.attach_channel(channel_obj)
-
-    listeners = list(decision_listeners)
-    auditor = None
-    if audit_independence:
-        auditor = IndependenceAuditor(positions=graph.positions, radius=graph.radius)
-        listeners.append(auditor.on_decision)
-    if telemetry is not None and telemetry.metrics.enabled:
-        decisions = telemetry.metrics.counter("coloring.decisions")
-        decision_slot = telemetry.metrics.histogram("coloring.decision_slot")
-        max_color = telemetry.metrics.gauge("coloring.max_color")
-
-        def observe_decision(slot: int, node: int, color: int) -> None:
-            decisions.inc()
-            decision_slot.observe(slot)
-            max_color.set_max(color)
-
-        listeners.append(observe_decision)
-
     recorder = TraceRecorder(enabled=trace)
-    shared = MWSharedConfig(
-        constants=constants,
-        trace=recorder if trace else None,
-        decision_listeners=tuple(listeners),
-    )
-    nodes = [MWColoringNode(node_id=i, config=shared) for i in range(n)]
 
-    simulator = EventSimulator(
-        channel=channel_obj,
-        nodes=nodes,
-        schedule=schedule,
+    def build_nodes(
+        listeners: tuple[DecisionListener, ...],
+    ) -> list[MWColoringNode]:
+        shared = MWSharedConfig(
+            constants=constants,
+            trace=recorder if trace else None,
+            decision_listeners=listeners,
+        )
+        return [MWColoringNode(node_id=i, config=shared) for i in range(n)]
+
+    outcome = run_protocol(
+        "mw",
+        graph,
+        params,
+        build_nodes,
+        max_slots if max_slots is not None else default_max_slots(constants),
         seed=seed,
-        observers=list(observers),
-        metrics=telemetry.metrics if telemetry is not None else None,
-        profiler=telemetry.profiler if telemetry is not None else None,
+        channel=channel,
+        resolver=resolver,
+        faults=faults,
+        schedule=schedule,
+        observers=observers,
+        decision_listeners=decision_listeners,
+        telemetry=telemetry,
     )
-    budget = max_slots if max_slots is not None else default_max_slots(constants)
-    require_int("max_slots", budget, minimum=1)
-    stats = simulator.run(budget)
-
-    colors = np.asarray(
-        [node.color if node.color is not None else -1 for node in nodes],
-        dtype=np.int64,
-    )
-    decision_slots = np.asarray(
-        [
-            node.decision_slot if node.decision_slot is not None else -1
-            for node in nodes
-        ],
-        dtype=np.int64,
-    )
-
-    # An incomplete run leaves -1 colors; clamp them into a sentinel color
-    # beyond the palette so the Coloring type (non-negative) accepts them
-    # while adjacent undecideds still fail every validity check loudly.
-    reported = colors.copy()
-    if (reported < 0).any():
-        sentinel = (reported.max(initial=0)) + 1
-        reported[reported < 0] = sentinel
-
-    leaders = np.flatnonzero(colors == 0)
     result = MWColoringResult(
         graph=graph,
-        coloring=Coloring(reported),
-        leaders=leaders,
-        decision_slots=decision_slots,
-        stats=stats,
+        coloring=Coloring.clamped(outcome.colors),
+        leaders=np.flatnonzero(outcome.colors == 0),
+        decision_slots=outcome.decision_slots,
+        stats=outcome.stats,
         constants=constants,
         trace=recorder,
-        fault_events=(
-            fault_channel.events.as_dict() if fault_channel is not None else None
-        ),
+        fault_events=outcome.fault_events,
     )
     if telemetry is not None and telemetry.out is not None:
         telemetry.export_coloring(result)
+    return result
+
+
+def run_mw_coloring_audited(
+    deployment: Deployment | np.ndarray,
+    params: PhysicalParams | None = None,
+    *,
+    decision_listeners: Sequence[DecisionListener] = (),
+    **kwargs,
+) -> tuple[MWColoringResult, IndependenceAuditor]:
+    """Like :func:`run_mw_coloring` but with a live Theorem 1 audit attached.
+
+    The auditor listens after the caller's ``decision_listeners``.
+    Returns the result together with the auditor; ``auditor.clean`` is
+    the empirical Theorem 1 verdict for the run.
+    """
+    if params is None:
+        params = PhysicalParams().with_r_t(1.0)
+    auditor = IndependenceAuditor(positions=_positions(deployment), radius=params.r_t)
+    result = run_mw_coloring(
+        deployment,
+        params,
+        decision_listeners=(*decision_listeners, auditor.on_decision),
+        **kwargs,
+    )
     return result, auditor
+
+
+def _positions(deployment: Deployment | np.ndarray) -> np.ndarray:
+    return deployment.positions if isinstance(deployment, Deployment) else deployment
 
 
 def slots_bound_estimate(constants: AlgorithmConstants) -> int:

@@ -4,7 +4,7 @@
 realises the plan's channel-level faults around the wrapped resolution —
 algorithms, simulators and telemetry all keep seeing an ordinary channel.
 Per-slot fault state (outage windows, jammer duty cycles, slot skew) is a
-pure function of the slot number, delivered by the simulators through the
+pure function of the slot number, delivered by the simulator through the
 :meth:`begin_slot` hook; when the wrapper is driven standalone it
 self-clocks one slot per ``resolve`` call.
 
@@ -12,9 +12,9 @@ Determinism contract: fault randomness comes from one private generator
 (plan seed, else the wrapper seed) and a plan with no channel faults
 performs *zero* RNG draws and no delivery rewriting — wrapping with an
 empty plan is bit-identical to the bare channel (locked by regression
-tests).  The message-drop path reproduces the draw pattern of the
-original ``LossyChannel`` exactly, so refactored experiments keep their
-historical rows.
+tests).  The message-drop path is the repository's one loss path:
+EXP-11's Bernoulli loss is a drop-only plan, and its draw pattern is
+the one the committed EXP-11 rows were recorded with.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ class FaultyChannel(Channel):
         return deliveries
 
     def _message_faults(self, deliveries: list[Delivery]) -> list[Delivery]:
-        """The drop and corruption coins (LossyChannel-exact draw pattern)."""
+        """The drop and corruption coins (one uniform draw per delivery each)."""
         messages = self._plan.messages
         if not deliveries or messages.empty:
             return deliveries

@@ -135,8 +135,8 @@ class MessageFaults:
     A corrupted message fails its checksum at the receiver and is
     discarded — algorithms never observe garbage payloads, so no
     protocol code needs to handle them — but the event is counted
-    separately from a plain drop.  Generalises the former ad-hoc
-    ``LossyChannel`` (which is now a thin wrapper over this model).
+    separately from a plain drop.  A drop-only plan is the i.i.d. loss
+    of EXP-11.
     """
 
     drop: float = 0.0

@@ -47,6 +47,20 @@ class Coloring:
         object.__setattr__(self, "colors", colors.astype(np.int64))
         self.colors.setflags(write=False)
 
+    @classmethod
+    def clamped(cls, colors: np.ndarray) -> "Coloring":
+        """A coloring from a run's colors, ``-1`` marking undecided nodes.
+
+        An incomplete run leaves ``-1`` colors; they are clamped into a
+        sentinel color one past the largest decided color, so the type
+        (non-negative) accepts them while adjacent undecided nodes still
+        fail every validity check loudly.
+        """
+        reported = np.array(colors, dtype=np.int64)
+        if (reported < 0).any():
+            reported[reported < 0] = reported.max(initial=0) + 1
+        return cls(reported)
+
     def __len__(self) -> int:
         return len(self.colors)
 

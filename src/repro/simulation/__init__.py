@@ -1,30 +1,30 @@
-"""Synchronous slotted radio simulator.
+"""The slotted radio simulation engine.
 
 The paper assumes time divided into globally synchronised slots, with nodes
 waking up asynchronously and spontaneously (Section II).  This package
 provides:
 
-* :mod:`repro.simulation.node` — the :class:`NodeProcess` API protocol
-  implementations plug into,
+* :mod:`repro.simulation.event_sim` — the one engine: the
+  :class:`EventNode` API protocol implementations plug into, and the
+  event-driven slot loop that only pays for active slots,
 * :mod:`repro.simulation.scheduler` — wake-up schedules,
-* :mod:`repro.simulation.simulator` — the slot loop,
 * :mod:`repro.simulation.trace` — event tracing and per-slot observers,
 * :mod:`repro.simulation.rng` — deterministic seed fan-out.
 """
 
 from __future__ import annotations
 
-from .node import NodeProcess, SlotApi
+from .event_sim import EventApi, EventNode, EventSimulator, RunStats
 from .rng import spawn_generators, spawn_seed_sequences
 from .scheduler import WakeupSchedule
-from .simulator import SlotSimulator
 from .trace import SlotObserver, TraceRecorder
 
 __all__ = [
-    "NodeProcess",
-    "SlotApi",
+    "EventApi",
+    "EventNode",
+    "EventSimulator",
+    "RunStats",
     "SlotObserver",
-    "SlotSimulator",
     "TraceRecorder",
     "WakeupSchedule",
     "spawn_generators",

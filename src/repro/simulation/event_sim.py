@@ -1,26 +1,26 @@
-"""Event-driven slotted simulator for random-access protocols.
+"""The slotted simulation engine: event-driven execution of random-access protocols.
 
-The generic :class:`~repro.simulation.simulator.SlotSimulator` calls every
-node every slot — perfect for dense TDMA schedules, wasteful for the MW
-coloring where a node's per-slot behaviour is (a) transmit with a small
-probability ``p`` and (b) counters that advance by exactly one per slot.
-Both admit an equivalent *event-driven* execution:
+The paper's model is one slotted radio with asynchronous wake-up
+(Section II).  A node's per-slot behaviour in the protocols here is
+(a) transmit with some probability ``p`` and (b) counters that advance by
+exactly one per slot.  Both admit an *event-driven* execution that is
+statistically identical to calling every node every slot:
 
 * Coin flips with success probability ``p`` are replaced by sampling the
-  gap to the next success from the geometric distribution — statistically
-  identical, and silent slots cost nothing.
+  gap to the next success from the geometric distribution — silent slots
+  cost nothing.
 * Deterministic per-slot counters are stored as ``(base, base_slot)`` pairs
   and evaluated lazily; threshold crossings become timers at the exact
   crossing slot.
 
 The engine therefore processes only *active* slots (some node transmits,
-a timer fires, or a node wakes); protocol semantics per active slot match
-the slot loop exactly: timers fire first, then due transmissions are
-collected, the channel resolves them, and receptions are dispatched —
-all within the same slot number.
+a timer fires, or a node wakes).  Within an active slot, timers fire
+first, then due transmissions are collected, the channel resolves them,
+and receptions are dispatched — all within the same slot number.
 
 Nodes implement :class:`EventNode` and drive their own schedule through
-:class:`EventApi` (``set_rate`` / ``set_timer``).
+:class:`EventApi` (``set_rate`` / ``set_timer``); ``run`` returns a
+:class:`RunStats` with the slot counts experiments report.
 """
 
 from __future__ import annotations
@@ -38,10 +38,45 @@ from ..errors import SimulationError
 from ..sinr.channel import Channel, Delivery, Transmission
 from .rng import spawn_generators
 from .scheduler import WakeupSchedule
-from .simulator import RunStats
 from .trace import SlotObserver
 
-__all__ = ["EventApi", "EventNode", "EventSimulator"]
+__all__ = ["EventApi", "EventNode", "EventSimulator", "RunStats"]
+
+
+@dataclass(frozen=True)
+class RunStats:
+    """Outcome of a simulation run.
+
+    Attributes
+    ----------
+    slots_run:
+        Total number of slots executed.
+    completed:
+        Whether the stop condition fired (False means max_slots was hit).
+    decided_count:
+        How many nodes had decided when the run ended.
+    transmissions:
+        Total transmissions over the run.
+    deliveries:
+        Total successful receptions over the run.
+    """
+
+    slots_run: int
+    completed: bool
+    decided_count: int
+    transmissions: int
+    deliveries: int
+
+    @property
+    def delivery_rate(self) -> float:
+        """Fraction of transmissions that produced at least the counted deliveries.
+
+        Note one broadcast can reach several receivers, so this can
+        exceed 1; it is a throughput indicator, not a probability.
+        """
+        if self.transmissions == 0:
+            return 0.0
+        return self.deliveries / self.transmissions
 
 
 class EventNode(ABC):

@@ -18,8 +18,6 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
-
 from .channel import (
     Channel,
     CollisionFreeChannel,
@@ -34,20 +32,6 @@ from .interference import InterferenceMeter, received_power, total_interference
 from .params import PhysicalParams
 from .sparse import SparseResolutionEngine
 
-if TYPE_CHECKING:
-    from .lossy import LossyChannel
-
-
-def __getattr__(name: str) -> Any:
-    # LossyChannel subclasses the fault layer's FaultyChannel, which in
-    # turn subclasses .channel's Channel; importing it lazily keeps this
-    # package importable from repro.faults without a cycle.
-    if name == "LossyChannel":
-        from .lossy import LossyChannel
-
-        return LossyChannel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Channel",
     "CollisionFreeChannel",
@@ -55,7 +39,6 @@ __all__ = [
     "EngineCacheInfo",
     "GraphChannel",
     "InterferenceMeter",
-    "LossyChannel",
     "PhysicalParams",
     "ProtocolChannel",
     "ResolutionEngine",

@@ -4,11 +4,11 @@ Three independent tools plus one bundle that wires them together:
 
 * :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges
   and histograms the instrumented subsystems (channels, the resolution
-  engine, the simulators, the coloring runner, SRS) emit into.  Hooks
+  engine, the simulator, the coloring runner, SRS) emit into.  Hooks
   cost one ``None`` check when no registry is attached.
 * :class:`~repro.telemetry.profiler.SlotProfiler` — per-slot wall-time
   attribution (node callbacks vs channel resolve vs observers), fed by
-  the simulators' ``profiler=`` argument.
+  the simulator's ``profiler=`` argument.
 * :mod:`~repro.telemetry.jsonl` — schema-versioned streaming JSONL
   export (:class:`TelemetryWriter`) and import (:func:`read_run`) of
   trace events, slot profiles and metric snapshots.

@@ -8,7 +8,7 @@ go?" — split into the three sections every slot loop has:
 * ``resolve_s`` — ``Channel.resolve`` (the numerical core),
 * ``observer_s`` — end-of-slot observers (audits, meters, traces).
 
-Both simulators accept a profiler via their ``profiler=`` argument and
+The simulator accepts a profiler via its ``profiler=`` argument and
 feed it one :meth:`record_slot` call per executed (active) slot; the
 profiler never touches the simulation state, so attaching one cannot
 change a run's outcome.  Per-slot records are retained (up to

@@ -10,15 +10,11 @@ subscribes it to this whole corpus:
 * under the PR-5 fault plans (crash outages, sleep windows, message
   loss): protocol entries keep independence among survivors — a downed
   node may break its own decision, never a fault-free pair — while
-  non-protocol entries are literally fault-immune (bit-identical rows);
-* dual-engine: protocol state machines built via ``build_nodes`` run
-  under the per-slot engine through
-  :class:`repro.algorithms.EventNodeProcess` and satisfy the same
-  invariants there (the engines agree in distribution, not bit for bit,
-  so this checks invariants, not bytes).
+  non-protocol entries are literally fault-immune (bit-identical rows).
 
 The registry surface itself (lookup errors, duplicate rejection, model
-vocabulary) is locked at the bottom.
+vocabulary, entries without node machines declining ``build_nodes``) is
+locked at the bottom.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ import pytest
 
 from repro.algorithms import (
     ColoringAlgorithm,
-    EventNodeProcess,
     ProtocolContext,
     algorithm_names,
     all_algorithms,
@@ -37,17 +32,10 @@ from repro.algorithms import (
     run_coloring_algorithm,
 )
 from repro.algorithms.base import MODELS, ColoringTask
-from repro.coloring.runner import make_channel
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, MessageFaults, NodeOutage
 from repro.graphs.udg import UnitDiskGraph
-from repro.invariants import (
-    IndependenceAuditor,
-    independence_violations,
-    palette_violations,
-)
-from repro.simulation.scheduler import WakeupSchedule
-from repro.simulation.simulator import SlotSimulator
+from repro.invariants import independence_violations, palette_violations
 
 from .conftest import CORPUS_SEEDS, PARAMS, corpus_deployment
 
@@ -229,53 +217,7 @@ class TestConformanceUnderFaults:
         assert faulted.extras.get("fault_immune") is True
 
 
-class TestDualEngineConformance:
-    """``build_nodes`` machines under the per-slot engine (same invariants)."""
-
-    @staticmethod
-    def _run_slot_engine(algorithm: str, seed: int):
-        entry = get_algorithm(algorithm)
-        deployment = corpus_deployment(seed)
-        graph = UnitDiskGraph(deployment.positions, PARAMS.r_t)
-        auditor = IndependenceAuditor(
-            positions=graph.positions, radius=graph.radius
-        )
-        ctx = ProtocolContext(
-            graph=graph, params=PARAMS, seed=seed,
-            decision_listeners=(auditor.on_decision,),
-        )
-        processes = [EventNodeProcess(m) for m in entry.build_nodes(ctx)]
-        simulator = SlotSimulator(
-            make_channel("sinr", graph.positions, PARAMS),
-            processes,
-            WakeupSchedule.synchronous(graph.n),
-            seed=seed,
-        )
-        stats = simulator.run(entry.slot_budget(ctx))
-        colors = np.asarray(
-            [
-                p.machine.color if p.machine.color is not None else -1
-                for p in processes
-            ],
-            dtype=np.int64,
-        )
-        return graph, stats, colors, auditor
-
-    @pytest.mark.parametrize("seed", CORPUS_SEEDS[:3])
-    @pytest.mark.parametrize("algorithm", PROTOCOLS)
-    def test_slot_engine_satisfies_the_same_invariants(self, algorithm, seed):
-        graph, stats, colors, auditor = self._run_slot_engine(algorithm, seed)
-        assert stats.completed
-        assert (colors >= 0).all()
-        assert not independence_violations(
-            graph.positions, graph.radius, colors
-        )
-        assert auditor.clean
-        bound = get_algorithm(algorithm).palette_bound(
-            max(1, graph.max_degree)
-        )
-        assert palette_violations(colors, bound) == []
-
+class TestProtocolSurface:
     @pytest.mark.parametrize("algorithm", IMMUNE)
     def test_non_protocol_entries_decline_build_nodes(self, algorithm):
         deployment = corpus_deployment(0)

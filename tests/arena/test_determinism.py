@@ -26,7 +26,7 @@ from repro.algorithms import (
 from repro.experiments import exp14_arena as exp14
 from repro.geometry.deployment import uniform_deployment
 from repro.orchestration import merged_rows, run_sharded
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, read_run
 
 from .conftest import PARAMS, corpus_deployment
 
@@ -100,6 +100,15 @@ class TestTelemetryTransparency:
         assert bundle.meta["algorithm"] == algorithm
         snapshot = bundle.metrics.snapshot()
         assert snapshot["coloring.decisions"]["value"] == 20
+
+    def test_mw_artifact_names_its_algorithm(self, tmp_path):
+        # the label must be set before the run exports its artifact
+        out = tmp_path / "mw.jsonl"
+        run_coloring_algorithm(
+            "mw", uniform_deployment(40, 4.0, seed=3), seed=1,
+            telemetry=Telemetry(out=out),
+        )
+        assert read_run(out).meta["algorithm"] == "mw"
 
 
 class TestResolverParity:

@@ -7,7 +7,7 @@ from repro.coloring.constants import AlgorithmConstants
 from repro.coloring.result import MWColoringResult
 from repro.graphs.coloring import Coloring
 from repro.graphs.udg import UnitDiskGraph
-from repro.simulation.simulator import RunStats
+from repro.simulation.event_sim import RunStats
 from repro.simulation.trace import TraceRecorder
 
 

@@ -110,12 +110,6 @@ class TestConfiguration:
         assert result.stats.completed
         assert result.is_proper()
 
-    def test_prebuilt_channel_accepted(self, params):
-        dep = uniform_deployment(30, 5.0, seed=3)
-        channel = SINRChannel(dep.positions, params)
-        result = run_mw_coloring(dep, params, seed=1, channel=channel)
-        assert result.stats.completed
-
     def test_unknown_channel_rejected(self, small_deployment, params):
         with pytest.raises(ConfigurationError):
             run_mw_coloring(small_deployment, params, channel="smoke-signals")

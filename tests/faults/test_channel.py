@@ -15,7 +15,6 @@ from repro.faults import (
     SlotSkew,
 )
 from repro.sinr.channel import CollisionFreeChannel, SINRChannel, Transmission
-from repro.sinr.lossy import LossyChannel
 from repro.sinr.params import PhysicalParams
 from repro.telemetry import MetricsRegistry
 
@@ -162,15 +161,6 @@ class TestJammers:
 
 
 class TestMessageFaults:
-    def test_drop_matches_legacy_lossy_channel(self):
-        lossy = LossyChannel(oracle(), drop=0.4, seed=7)
-        plan = FaultPlan(messages=MessageFaults(drop=0.4))
-        faulty = FaultyChannel(oracle(), plan, seed=7)
-        for slot in range(40):
-            batch = [Transmission(sender=slot % 4, payload=slot)]
-            assert lossy.resolve(batch) == faulty.resolve(batch)
-        assert lossy.dropped == faulty.events.dropped
-
     def test_corruption_counts_separately_from_drops(self):
         plan = FaultPlan(messages=MessageFaults(corrupt=1.0))
         channel = FaultyChannel(oracle(), plan, seed=0)

@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultPlan, FaultyChannel, MessageFaults
 from repro.graphs.coloring import Coloring
 from repro.mac.tdma import TDMASchedule
 from repro.sinr.channel import CollisionFreeChannel, SINRChannel, Transmission
-from repro.sinr.lossy import LossyChannel
 from repro.sinr.params import PhysicalParams
 
 PARAMS = PhysicalParams().with_r_t(1.0)
@@ -52,6 +52,13 @@ class TestTDMAProperties:
                     assert schedule.slot_of(u) == schedule.slot_of(v)
 
 
+def dropping(inner, drop: float, seed: int) -> FaultyChannel:
+    """``inner`` behind a drop-only fault plan (i.i.d. message loss)."""
+    return FaultyChannel(
+        inner, FaultPlan(messages=MessageFaults(drop=drop)), seed=seed
+    )
+
+
 class TestLossyProperties:
     @given(
         positions_strategy,
@@ -61,7 +68,7 @@ class TestLossyProperties:
     @settings(max_examples=40)
     def test_lossy_subset_of_inner(self, positions, drop, seed):
         inner = CollisionFreeChannel(positions, radius=1.0)
-        lossy = LossyChannel(
+        lossy = dropping(
             CollisionFreeChannel(positions, radius=1.0), drop=drop, seed=seed
         )
         txs = [Transmission(0, "x")]
@@ -72,11 +79,9 @@ class TestLossyProperties:
     @given(positions_strategy, st.integers(0, 100))
     @settings(max_examples=30)
     def test_accounting_balances(self, positions, seed):
-        lossy = LossyChannel(
-            SINRChannel(positions, PARAMS), drop=0.5, seed=seed
-        )
+        lossy = dropping(SINRChannel(positions, PARAMS), drop=0.5, seed=seed)
         total = 0
         for sender in range(min(4, len(positions))):
             total += len(lossy.resolve([Transmission(sender, "x")]))
-        assert lossy.passed == total
-        assert lossy.passed + lossy.dropped >= total
+        assert lossy.events.passed == total
+        assert lossy.events.passed + lossy.events.dropped >= total

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simulation.node import NodeProcess, SlotApi
+from repro.simulation.event_sim import EventApi, EventNode, EventSimulator
 from repro.simulation.scheduler import WakeupSchedule
-from repro.simulation.simulator import SlotSimulator
 from repro.sinr.channel import (
     CollisionFreeChannel,
     GraphChannel,
@@ -26,27 +25,34 @@ from repro.sinr.params import PhysicalParams
 PARAMS = PhysicalParams().with_r_t(1.0)
 
 
-class RandomBeacon(NodeProcess):
-    """Transmits its id with probability 0.3 each slot; decides once it has
-    heard three distinct neighbors (or after 40 slots of trying)."""
+class RandomBeacon(EventNode):
+    """Transmits its id at rate 0.3 per slot; decides once it has heard
+    three distinct neighbors, or gives up 40 slots after waking."""
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.heard: set[int] = set()
-        self.slots_seen = 0
+        self.sent = 0
+        self.gave_up = False
 
-    def on_slot(self, api: SlotApi):
-        self.slots_seen += 1
-        if api.flip(0.3):
-            return ("beacon", self.node_id, self.slots_seen)
-        return None
+    def on_wake(self, api: EventApi) -> None:
+        api.set_rate(0.3)
+        api.set_timer(api.slot + 40)
 
-    def on_receive(self, api: SlotApi, sender: int, payload) -> None:
+    def make_payload(self, api: EventApi):
+        self.sent += 1
+        return ("beacon", self.node_id, self.sent)
+
+    def on_timer(self, api: EventApi) -> None:
+        self.gave_up = True
+        api.set_rate(0.0)
+
+    def on_receive(self, api: EventApi, sender: int, payload) -> None:
         self.heard.add(sender)
 
     @property
     def decided(self) -> bool:
-        return len(self.heard) >= 3 or self.slots_seen >= 40
+        return len(self.heard) >= 3 or self.gave_up
 
 
 class SequenceRecorder:
@@ -66,7 +72,7 @@ def run_once(channel_factory, seed: int, cache_slots: int = 0):
     nodes = [RandomBeacon(i) for i in range(30)]
     schedule = WakeupSchedule.uniform_random(30, max_delay=5, seed=7)
     recorder = SequenceRecorder()
-    simulator = SlotSimulator(
+    simulator = EventSimulator(
         channel, nodes, schedule, seed=seed, observers=[recorder]
     )
     stats = simulator.run(max_slots=60)

@@ -1,13 +1,11 @@
-"""Unit tests for the event-driven simulator engine."""
+"""Unit tests for the event-driven simulator engine (the one engine)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.simulation.event_sim import EventApi, EventNode, EventSimulator
-from repro.simulation.node import NodeProcess
 from repro.simulation.scheduler import WakeupSchedule
-from repro.simulation.simulator import SlotSimulator
 from repro.sinr.channel import CollisionFreeChannel
 
 
@@ -143,20 +141,96 @@ class TestSleep:
         sim.run(max_slots=20, stop=lambda s: False)
         assert all(slot >= 10 for slot, _, _ in nodes[1].heard)
 
+    def test_sleeping_node_does_not_transmit(self):
+        nodes = [EventBeacon(0, rate=0.0), EventBeacon(1, rate=1.0)]
+        schedule = WakeupSchedule(np.array([0, 5]))
+        sim = make_sim(nodes, schedule=schedule)
+        sim.run(max_slots=9, stop=lambda s: False)
+        assert nodes[1].tx_slots == [6, 7, 8]
+        assert [slot for slot, _, _ in nodes[0].heard] == [6, 7, 8]
+
+    def test_wake_callback_runs_in_the_wake_slot(self):
+        class WakeRecorder(EventBeacon):
+            def on_wake(self, api):
+                self.woke_at = api.slot
+
+        nodes = [WakeRecorder(0, rate=0.0), WakeRecorder(1, rate=0.0)]
+        schedule = WakeupSchedule(np.array([0, 3]))
+        make_sim(nodes, schedule=schedule).run(
+            max_slots=5, stop=lambda s: False
+        )
+        assert [node.woke_at for node in nodes] == [0, 3]
+
+
+class TestRun:
+    def test_stops_when_all_decided(self):
+        nodes = [TimerNode(fire_at=3), TimerNode(fire_at=5)]
+        stats = make_sim(nodes).run(max_slots=100)
+        assert stats.completed
+        assert stats.slots_run == 6
+        assert stats.decided_count == 2
+
+    def test_budget_exhaustion(self):
+        stats = make_sim([TimerNode(fire_at=1000)]).run(max_slots=10)
+        assert not stats.completed
+        assert stats.slots_run == 10
+        assert stats.decided_count == 0
+
+    def test_custom_stop(self):
+        nodes = [EventBeacon(0), EventBeacon(1)]
+        stats = make_sim(nodes).run(max_slots=100, stop=lambda s: s.slot >= 7)
+        assert stats.completed
+        assert stats.slots_run == 8
+
+    def test_waits_for_last_wake(self):
+        # the default stop refuses to declare completion before everyone
+        # woke, even when every node already reports decided
+        class Decided(EventNode):
+            def on_wake(self, api):
+                pass
+
+            def make_payload(self, api):  # pragma: no cover - rate stays 0
+                return None
+
+            @property
+            def decided(self):
+                return True
+
+        schedule = WakeupSchedule(np.array([0, 20]))
+        stats = make_sim([Decided(), Decided()], schedule=schedule).run(
+            max_slots=100
+        )
+        assert stats.completed
+        assert stats.slots_run == 21
+
+    def test_counts_transmissions_and_deliveries(self):
+        nodes = [EventBeacon(0, rate=1.0), EventBeacon(1, rate=0.0)]
+        stats = make_sim(nodes).run(max_slots=11, stop=lambda s: False)
+        assert stats.transmissions == 10
+        assert stats.deliveries == 10
+        assert stats.delivery_rate == 1.0
+
+
+class TestObservers:
+    def test_observer_sees_each_active_slot(self):
+        seen = []
+
+        class Observer:
+            def on_slot_end(self, slot, transmissions, deliveries):
+                seen.append((slot, len(transmissions), len(deliveries)))
+
+        nodes = [EventBeacon(0, rate=1.0), EventBeacon(1, rate=0.0)]
+        channel = CollisionFreeChannel(line_positions(2), radius=1.0)
+        sim = EventSimulator(
+            channel, nodes, WakeupSchedule.synchronous(2), observers=[Observer()]
+        )
+        sim.run(max_slots=3, stop=lambda s: False)
+        # slot 0 is active (both wake) but silent; slots 1-2 carry a beacon
+        assert seen == [(0, 0, 0), (1, 1, 1), (2, 1, 1)]
+
 
 class TestStatisticalEquivalence:
-    """The event engine must be statistically identical to the slot loop."""
-
-    class SlotCoin(NodeProcess):
-        def __init__(self, p):
-            self.p = p
-            self.tx = 0
-
-        def on_slot(self, api):
-            if api.flip(self.p):
-                self.tx += 1
-                return "x"
-            return None
+    """Sampled geometric gaps reproduce a per-slot Bernoulli coin."""
 
     class EventCoin(EventNode):
         def __init__(self, p):
@@ -172,18 +246,13 @@ class TestStatisticalEquivalence:
 
     def test_transmission_rate_matches(self):
         slots, p = 4000, 0.07
-        slot_node = self.SlotCoin(p)
         channel = CollisionFreeChannel(np.zeros((1, 2)), radius=1.0)
-        SlotSimulator(
-            channel, [slot_node], WakeupSchedule.synchronous(1), seed=5
-        ).run(max_slots=slots, stop=lambda s: False)
         event_node = self.EventCoin(p)
         EventSimulator(
             channel, [event_node], WakeupSchedule.synchronous(1), seed=6
         ).run(max_slots=slots, stop=lambda s: False)
         expected = slots * p
         sigma = (slots * p * (1 - p)) ** 0.5
-        assert abs(slot_node.tx - expected) < 5 * sigma
         assert abs(event_node.tx - expected) < 5 * sigma
 
 
@@ -193,6 +262,13 @@ class TestValidation:
         with pytest.raises(SimulationError):
             EventSimulator(
                 channel, [EventBeacon(0)], WakeupSchedule.synchronous(2)
+            )
+
+    def test_schedule_mismatch(self):
+        channel = CollisionFreeChannel(np.zeros((1, 2)), radius=1.0)
+        with pytest.raises(SimulationError):
+            EventSimulator(
+                channel, [EventBeacon(0)], WakeupSchedule.synchronous(3)
             )
 
     def test_bad_rate_rejected(self):

@@ -75,7 +75,8 @@ class TestJsonlRoundTrip:
 
         run = read_run(out)
         assert run.command == "color"
-        assert run.meta == {"seed": 1}
+        # the harness names the algorithm; caller meta is kept as given
+        assert run.meta == {"seed": 1, "algorithm": "mw"}
         # trace events survive (JSON normalises tuple details to lists)
         assert len(run.trace) == len(result.trace)
         import json
