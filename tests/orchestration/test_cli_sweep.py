@@ -86,6 +86,14 @@ class TestVersion:
 
 
 class TestSigintDrain:
+    # The executor keeps up to 2 shards per worker in flight, and a drain
+    # finishes all of them, so an interrupt only leaves work undone while
+    # shards are still queued.  Sixteen one-unit shards on two workers keep
+    # the queue non-empty for about 1.5 s after the first shard is done;
+    # that is the window the signal below must land in.
+    UNIT_KWARGS = {"seeds": [0, 1], "xs": list(range(1, 9)), "sleep_s": 0.3}
+    NUM_SHARDS = 16
+
     def test_sigint_drains_then_resume_completes(self, tmp_path):
         """Interrupt a real sweep process; resume must finish the table."""
         store = tmp_path / "store"
@@ -95,7 +103,7 @@ class TestSigintDrain:
             "result = run_sharded(\n"
             "    'fake', module='tests.orchestration.fake_exp', jobs=2,\n"
             f"    store={str(store)!r}, install_sigint=True,\n"
-            "    unit_kwargs={'seeds': [0, 1], 'xs': [1, 2, 3], 'sleep_s': 0.4},\n"
+            f"    unit_kwargs={self.UNIT_KWARGS!r},\n"
             "    progress=lambda m: print(m, flush=True),\n"
             ")\n"
             "sys.exit(130 if result.interrupted else 0)\n"
@@ -120,7 +128,7 @@ class TestSigintDrain:
 
         # the interrupted run persisted a strict subset of the shards
         shard_files = list(store.rglob("shard-*.json"))
-        assert 0 < len(shard_files) < 6
+        assert 0 < len(shard_files) < self.NUM_SHARDS
 
         from repro.orchestration import merged_rows, run_sharded
 
@@ -129,9 +137,12 @@ class TestSigintDrain:
         resumed = run_sharded(
             "fake", module="tests.orchestration.fake_exp", jobs=2,
             store=store, resume=True,
-            unit_kwargs={"seeds": [0, 1], "xs": [1, 2, 3], "sleep_s": 0.4},
+            unit_kwargs=self.UNIT_KWARGS,
         )
         assert resumed.complete
         assert resumed.resumed  # it really did skip persisted work
-        serial = fake_exp.run(seeds=[0, 1], xs=[1, 2, 3])
+        assert resumed.num_shards == self.NUM_SHARDS
+        serial = fake_exp.run(
+            seeds=self.UNIT_KWARGS["seeds"], xs=self.UNIT_KWARGS["xs"]
+        )
         assert merged_rows(resumed) == serial
