@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -186,13 +187,18 @@ class ColoringRunResult:
         """The TDMA frame induced by the coloring (``mac/`` verify path)."""
         return TDMASchedule(self.coloring())
 
+    @cached_property
+    def _static_violations(self) -> list[IndependenceViolation]:
+        """The static Theorem-1 check, run once per result (do not mutate)."""
+        return independence_violations(
+            self.graph.positions, self.graph.radius, self.colors
+        )
+
     def independence_violations(self) -> list[IndependenceViolation]:
         """Theorem-1 violations: the live audit when present, else static."""
         if self.audit_violations is not None:
             return list(self.audit_violations)
-        return independence_violations(
-            self.graph.positions, self.graph.radius, self.colors
-        )
+        return list(self._static_violations)
 
     def palette_violations(self) -> list[int]:
         """Decided nodes whose color falls outside the claimed palette."""
@@ -203,9 +209,7 @@ class ColoringRunResult:
 
     def is_proper(self) -> bool:
         """No two decided neighbors share a color (and nothing undecided)."""
-        return self.completed and not independence_violations(
-            self.graph.positions, self.graph.radius, self.colors
-        )
+        return self.completed and not self._static_violations
 
     @property
     def clean(self) -> bool:
@@ -231,6 +235,14 @@ class ColoringRunResult:
             "proper": self.is_proper(),
             "clean": self.clean,
         }
+
+    def row(self) -> dict:
+        """:meth:`summary` plus the Theorem-1 violation and fault counts."""
+        row = self.summary()
+        row["independence_violations"] = len(self.independence_violations())
+        for key, value in sorted((self.fault_events or {}).items()):
+            row[f"fault_{key}"] = int(value)
+        return row
 
 
 class ColoringAlgorithm(ABC):

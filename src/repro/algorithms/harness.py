@@ -21,6 +21,7 @@ from .base import (
     ColoringTask,
     ProtocolContext,
 )
+from .mw import MWColoring
 
 __all__ = ["run_coloring_algorithm", "run_event_protocol"]
 
@@ -41,7 +42,8 @@ def run_coloring_algorithm(
 
     ``algorithm`` is a registry name (or an entry instance); everything
     else mirrors :func:`repro.coloring.runner.run_mw_coloring`'s
-    surface, so call sites migrate by adding one argument.
+    surface, so call sites migrate by adding one argument, and exports
+    the run to ``telemetry.out`` when that is set.
     """
     from .registry import get_algorithm
 
@@ -60,7 +62,12 @@ def run_coloring_algorithm(
         max_slots=max_slots,
         telemetry=telemetry,
     )
-    return entry.run(task)
+    result = entry.run(task)
+    if telemetry is not None and telemetry.out is not None:
+        if not isinstance(entry, MWColoring):  # MW's runner exported already
+            telemetry.meta.setdefault("algorithm", entry.name)
+            telemetry.export("color", rows=[result.row()], summary=result.row())
+    return result
 
 
 def run_event_protocol(

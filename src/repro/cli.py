@@ -278,20 +278,14 @@ def _color_via_registry(
         raise
     except ReproError as failure:
         raise ConfigurationError(f"color run failed: {failure}") from failure
-    row = outcome.summary()
-    row["independence_violations"] = len(outcome.independence_violations())
-    if outcome.fault_events:
-        for key, value in sorted(outcome.fault_events.items()):
-            row[f"fault_{key}"] = int(value)
     print(format_table(
-        [row],
+        [outcome.row()],
         title=(
             f"{args.algorithm} coloring run "
             f"(channel={args.channel}, resolver={args.resolver})"
         ),
     ))
     if telemetry is not None and telemetry.out is not None:
-        telemetry.export("color", rows=[row], summary=row)
         print(f"telemetry written to {telemetry.out}"
               f" (summarise with: python -m repro report {telemetry.out})")
     return 0 if outcome.clean else 1

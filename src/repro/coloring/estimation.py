@@ -36,7 +36,6 @@ import numpy as np
 
 from .._validation import require_int, require_positive
 from ..geometry.deployment import Deployment
-from ..graphs.udg import UnitDiskGraph
 from ..sinr.channel import SINRChannel, Transmission
 from ..sinr.params import PhysicalParams
 from ..simulation.rng import rng_from_seed
@@ -159,20 +158,20 @@ def run_mw_coloring_estimated_delta(
     positions = (
         deployment.positions if isinstance(deployment, Deployment) else deployment
     )
-    graph = UnitDiskGraph(positions, params.r_t)
+    n = len(positions)
     estimate = estimate_degrees(positions, params, seed=seed, **estimate_kwargs)
-    n_bound = n_upper_bound if n_upper_bound is not None else graph.n
-    require_int("n_upper_bound", n_bound, minimum=graph.n)
+    n_bound = n_upper_bound if n_upper_bound is not None else n
+    require_int("n_upper_bound", n_bound, minimum=n)
     from ..geometry.density import phi_empirical
 
     phi_2rt = max(2, phi_empirical(positions, 2.0 * params.r_t, params.r_t))
     constants = AlgorithmConstants.practical(
         delta=max(1, estimate.max_estimate),
-        n=graph.n,
+        n=n,
         phi_2rt=phi_2rt,
     )
     # the log factor may use the upper bound rather than the true n
-    if n_bound != graph.n:
+    if n_bound != n:
         import math
 
         stretch = max(1.0, math.log(n_bound)) / constants.log_term

@@ -7,7 +7,8 @@ about nodes placed in the Euclidean plane:
 * :mod:`repro.geometry.region` — discs and annuli with area helpers, used by
   the interference-bounding arguments of the paper (Lemma 3, Theorem 3).
 * :mod:`repro.geometry.grid_index` — a uniform-grid spatial index giving
-  expected O(1) range queries for bounded-density deployments.
+  expected O(1) range queries for bounded-density deployments, and the
+  vectorised all-pairs form :func:`candidate_pairs`.
 * :mod:`repro.geometry.deployment` — synthetic node-placement generators.
 * :mod:`repro.geometry.density` — the packing bound ``phi(R)`` of the paper
   and an empirical estimator for it.
@@ -26,7 +27,7 @@ from .deployment import (
     uniform_deployment,
 )
 from .density import phi_empirical, phi_upper_bound
-from .grid_index import GridIndex
+from .grid_index import GridIndex, candidate_pairs
 from .point import chebyshev_distance, distance, distance_matrix, pairwise_distances
 from .region import Annulus, Disc
 
@@ -35,6 +36,7 @@ __all__ = [
     "Deployment",
     "Disc",
     "GridIndex",
+    "candidate_pairs",
     "chebyshev_distance",
     "clustered_deployment",
     "corridor_deployment",

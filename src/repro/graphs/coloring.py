@@ -15,7 +15,7 @@ import numpy as np
 
 from .._validation import require_positive
 from ..errors import ColoringError
-from ..geometry.grid_index import GridIndex
+from ..geometry.grid_index import candidate_pairs
 from ..geometry.point import as_positions
 
 __all__ = ["Coloring"]
@@ -114,12 +114,9 @@ class Coloring:
                 f"coloring covers {self.n} nodes but positions has {len(positions)}"
             )
         reach = d * radius
-        index = GridIndex(positions, cell_size=reach)
-        bad: list[tuple[int, int]] = []
-        for u, v in index.iter_pairs_within(reach):
-            if self.colors[u] == self.colors[v]:
-                bad.append((u, v))
-        return bad
+        u, v, sq = candidate_pairs(positions, reach)
+        bad = (sq <= reach * reach) & (self.colors[u] == self.colors[v])
+        return list(zip(u[bad].tolist(), v[bad].tolist()))
 
     def is_valid(
         self, positions: np.ndarray, radius: float, d: float = 1.0

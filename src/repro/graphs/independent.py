@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .._validation import require_positive
-from ..geometry.grid_index import GridIndex
+from ..geometry.grid_index import GridIndex, candidate_pairs
 from ..geometry.point import as_positions
 
 __all__ = ["greedy_mis", "is_independent_set", "violating_pairs"]
@@ -30,15 +30,12 @@ def violating_pairs(
     """
     positions = as_positions(positions)
     require_positive("radius", radius)
-    member_list = sorted(set(int(m) for m in members))
+    member_list = np.asarray(sorted(set(int(m) for m in members)), dtype=np.intp)
     if len(member_list) < 2:
         return []
-    subset = positions[member_list]
-    index = GridIndex(subset, cell_size=radius)
-    pairs: list[tuple[int, int]] = []
-    for a, b in index.iter_pairs_within(radius):
-        pairs.append((member_list[a], member_list[b]))
-    return pairs
+    a, b, sq = candidate_pairs(positions[member_list], radius)
+    near = sq <= radius * radius
+    return list(zip(member_list[a[near]].tolist(), member_list[b[near]].tolist()))
 
 
 def is_independent_set(

@@ -4,8 +4,9 @@ The paper models the network as the graph ``G = (V, E, R_T)`` with an edge
 between ``u`` and ``v`` iff ``delta(u, v) <= R_T`` — in the absence of other
 transmissions, ``u`` hears ``v`` within the transmission range ``R_T``
 (Section II).  :class:`UnitDiskGraph` materialises the adjacency structure
-once (via the grid index, expected O(n * degree)) and provides the degree and
-neighborhood queries every other subsystem relies on.
+once (via :func:`~repro.geometry.grid_index.candidate_pairs`, expected
+O(n log n + n * degree)) and provides the degree and neighborhood queries
+every other subsystem relies on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .._validation import require_positive
 from ..errors import ConfigurationError
 from ..geometry.deployment import Deployment
-from ..geometry.grid_index import GridIndex
+from ..geometry.grid_index import GridIndex, candidate_pairs
 from ..geometry.point import as_positions
 
 __all__ = ["UnitDiskGraph"]
@@ -41,14 +42,18 @@ class UnitDiskGraph:
             positions = positions.positions
         self._positions = as_positions(positions)
         self._radius = require_positive("radius", radius)
-        self._index = GridIndex(self._positions, cell_size=radius)
+        i, j, sq = candidate_pairs(self._positions, radius)
+        near = sq <= radius * radius
+        i, j = i[near], j[near]
+        # Pairs come sorted by (i, j): listing each edge from its j end
+        # first, a stable sort by owner leaves every list ascending.
+        owner = np.concatenate((j, i))
+        adjacent = np.concatenate((i, j))[np.argsort(owner, kind="stable")]
+        self._degrees = np.bincount(owner, minlength=self.n).astype(np.intp)
+        ends = np.cumsum(self._degrees).tolist()
         self._neighbors: list[np.ndarray] = [
-            self._index.neighbors_within(i, radius)
-            for i in range(len(self._positions))
+            adjacent[start:end] for start, end in zip([0, *ends], ends)
         ]
-        self._degrees = np.asarray(
-            [len(nbrs) for nbrs in self._neighbors], dtype=np.intp
-        )
 
     # -- basic accessors ---------------------------------------------------
 
@@ -69,11 +74,6 @@ class UnitDiskGraph:
 
     def __len__(self) -> int:
         return self.n
-
-    @property
-    def index(self) -> GridIndex:
-        """The underlying spatial index (shared with channel implementations)."""
-        return self._index
 
     # -- adjacency ----------------------------------------------------------
 
@@ -122,7 +122,8 @@ class UnitDiskGraph:
     def nodes_within(self, node: int, distance: float) -> np.ndarray:
         """All nodes within Euclidean ``distance`` of ``node``, excluding it."""
         self._check_node(node)
-        return self._index.neighbors_within(node, distance)
+        index = GridIndex(self._positions, cell_size=self._radius)
+        return index.neighbors_within(node, distance)
 
     # -- connectivity --------------------------------------------------------
 

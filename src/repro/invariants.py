@@ -33,6 +33,7 @@ import numpy as np
 
 from ._validation import require_positive
 from .errors import ScheduleError
+from .geometry.grid_index import candidate_pairs
 from .geometry.point import as_positions
 from .sinr.channel import SINRChannel, Transmission
 from .sinr.params import PhysicalParams
@@ -147,30 +148,21 @@ def independence_violations(
         raise ScheduleError(
             f"{len(colors)} colors for {len(positions)} positions"
         )
-    violations: list[IndependenceViolation] = []
-    by_color: dict[int, list[int]] = defaultdict(list)
-    for node, color in enumerate(colors):
-        color = int(color)
-        if color == undecided or (undecided is None and color < 0):
-            continue
-        by_color[color].append(node)
-    for color, members in sorted(by_color.items()):
-        if len(members) < 2:
-            continue
-        pts = positions[members]
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        close = np.triu(dist <= radius, k=1)
-        for i, j in zip(*np.nonzero(close)):
-            violations.append(
-                IndependenceViolation(
-                    slot=-1,
-                    color_index=color,
-                    pair=(members[int(i)], members[int(j)]),
-                    distance=float(dist[i, j]),
-                )
-            )
-    return violations
+    skipped = colors < 0 if undecided is None else colors == undecided
+    members = np.flatnonzero(~skipped)
+    i, j, sq = candidate_pairs(positions[members], radius)
+    u, v, distance = members[i], members[j], np.sqrt(sq)
+    close = (colors[u] == colors[v]) & (distance <= radius)
+    # Pairs come sorted by (u, v): a stable sort by color gives the
+    # reporting order (color, then pair).
+    order = np.argsort(colors[u[close]], kind="stable")
+    u, v, distance = u[close][order], v[close][order], distance[close][order]
+    return [
+        IndependenceViolation(slot=-1, color_index=c, pair=(a, b), distance=d)
+        for c, a, b, d in zip(
+            colors[u].tolist(), u.tolist(), v.tolist(), distance.tolist()
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,17 @@ class TestTelemetryTransparency:
         )
         assert read_run(out).meta["algorithm"] == "mw"
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_library_run_writes_its_artifact(self, algorithm, tmp_path):
+        out = tmp_path / f"{algorithm}.jsonl"
+        outcome = run_coloring_algorithm(
+            algorithm, uniform_deployment(40, 4.0, seed=3), seed=1,
+            telemetry=Telemetry(out=out),
+        )
+        artifact = read_run(out)
+        assert artifact.meta["algorithm"] == algorithm
+        assert artifact.summary["n"] == outcome.n == 40
+
 
 class TestResolverParity:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.grid_index import GridIndex, candidate_pairs
 
 
 def brute_force_disc(positions, center, radius):
@@ -80,10 +80,11 @@ class TestNeighbors:
         index = GridIndex(positions, cell_size=1.0)
         np.testing.assert_array_equal(index.neighbors_within(0, 1.0), [1])
 
-    def test_iter_pairs_each_once(self):
+    def test_candidate_pairs_each_once(self):
         positions = np.array([[0.0, 0.0], [0.5, 0.0], [0.9, 0.0], [5.0, 5.0]])
-        index = GridIndex(positions, cell_size=1.0)
-        pairs = sorted(index.iter_pairs_within(1.0))
+        i, j, sq = candidate_pairs(positions, 1.0)
+        near = sq <= 1.0
+        pairs = list(zip(i[near].tolist(), j[near].tolist()))
         assert pairs == [(0, 1), (0, 2), (1, 2)]
 
     def test_len(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.density import phi_empirical, phi_upper_bound
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.grid_index import GridIndex, candidate_pairs
 from repro.geometry.point import distance, distance_matrix
 
 coordinate = st.floats(
@@ -69,11 +69,16 @@ class TestGridIndexProperties:
     @given(point_arrays(min_size=2, max_size=40), st.floats(0.1, 5.0))
     @settings(max_examples=30)
     def test_pairs_symmetric_coverage(self, positions, radius):
-        index = GridIndex(positions, cell_size=radius)
-        pairs = set(index.iter_pairs_within(radius))
-        for i, j in pairs:
-            assert i < j
-            assert distance(positions[i], positions[j]) <= radius + 1e-9
+        i, j, sq = candidate_pairs(positions, radius)
+        near = sq <= radius * radius
+        pairs = list(zip(i[near].tolist(), j[near].tolist()))
+        for a, b in pairs:
+            assert a < b
+            assert distance(positions[a], positions[b]) <= radius + 1e-9
+        # complete and in (i, j) order: exactly the brute-force pairs
+        diff = positions[:, None, :] - positions[None, :, :]
+        close = np.triu(np.einsum("ijk,ijk->ij", diff, diff) <= radius * radius, k=1)
+        assert pairs == list(zip(*(axis.tolist() for axis in np.nonzero(close))))
 
 
 class TestPhiProperties:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry import Telemetry, read_run
 
 
 class TestPhysics:
@@ -90,6 +91,27 @@ class TestTelemetry:
         assert "engine.cache_hit_rate" in report
         assert "protocol statistics" in report
         assert "resets_total" in report
+
+    def test_registry_color_exports_once(self, capsys, tmp_path, monkeypatch):
+        exported = []
+        export = Telemetry.export
+
+        def counting(self, command, **kwargs):
+            exported.append(command)
+            return export(self, command, **kwargs)
+
+        monkeypatch.setattr(Telemetry, "export", counting)
+        out = tmp_path / "greedy.jsonl"
+        code = main(
+            ["color", "--algorithm", "greedy", "--n", "40", "--extent", "5",
+             "--seed", "1", "--telemetry-out", str(out)]
+        )
+        assert code == 0
+        assert exported == ["color"]
+        assert "telemetry written to" in capsys.readouterr().out
+        row = read_run(out).summary
+        assert row["algorithm"] == "greedy"
+        assert row["independence_violations"] == 0
 
     def test_srs_writes_artifact(self, capsys, tmp_path):
         out = tmp_path / "srs.jsonl"
