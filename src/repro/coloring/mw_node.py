@@ -128,6 +128,7 @@ class MWColoringNode(EventNode):
     _state: str = field(default=STATE_A, init=False)
     _i: int = field(default=0, init=False)
     _phase: str = field(default=PHASE_LISTEN, init=False)
+    _window: int = field(default=0, init=False)  # reset_window(_i), set in _enter_a
     _counter_base: int = field(default=0, init=False)
     _counter_slot: int = field(default=0, init=False)
     _records: dict[int, tuple[int, int]] = field(default_factory=dict, init=False)
@@ -270,6 +271,7 @@ class MWColoringNode(EventNode):
         """
         self._state = STATE_A
         self._i = i
+        self._window = self.config.constants.reset_window(i)
         self._records = {}  # P_v := empty
         self._phase = PHASE_LISTEN
         api.set_rate(0.0)  # the listening phase never transmits
@@ -281,8 +283,7 @@ class MWColoringNode(EventNode):
     def _begin_competition(self, api: EventApi) -> None:
         """Fig. 1 line 6: pick the starting counter, start the while loop."""
         constants = self.config.constants
-        window = constants.reset_window(self._i)
-        self._counter_base = chi(self.tracked_counters(api.slot), window)
+        self._counter_base = chi(self.tracked_counters(api.slot), self._window)
         self._counter_slot = api.slot
         self._phase = PHASE_COMPETE
         api.set_rate(constants.q_s)
@@ -296,7 +297,6 @@ class MWColoringNode(EventNode):
         )
 
     def _receive_in_a(self, api: EventApi, payload: Any) -> None:
-        constants = self.config.constants
         if isinstance(payload, MsgC) and payload.i == self._i:
             # Fig. 1 lines 5 / 12: a neighbor already holds color i.
             self._leader = payload.sender
@@ -308,7 +308,7 @@ class MWColoringNode(EventNode):
         if isinstance(payload, MsgA) and payload.i == self._i:
             # Fig. 1 lines 4 / 13: track the competitor's counter.
             self._records[payload.sender] = (payload.counter, api.slot)
-            window = constants.reset_window(self._i)
+            window = self._window
             if (
                 self._phase == PHASE_COMPETE
                 and abs(self.counter_at(api.slot) - payload.counter) <= window

@@ -21,14 +21,25 @@ from ..framework import FileContext, Rule, rule
 #: Protocol packages where delivery-mutating channel wrappers are banned.
 _PROTOCOL_PACKAGES = ("coloring", "sinr", "simulation", "mac")
 
+#: A channel's resolution hooks: ``_reception`` is the contract every
+#: channel implements, ``_resolve`` the hook it replaced.
+_HOOKS = ("_reception", "_resolve")
+
+#: Calls through which a hook reaches another channel.
+_DELEGATES = ("resolve", "_reception", "_resolve")
+
 
 def _wraps_another_channel(method: ast.FunctionDef) -> bool:
-    """Whether a ``_resolve`` body delegates to some other channel."""
+    """Whether a resolution hook's body delegates to some other channel."""
     for node in ast.walk(method):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "resolve"
+            and node.func.attr in _DELEGATES
+            and not (
+                isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "self"
+            )
         ):
             return True
     return False
@@ -39,8 +50,8 @@ class FaultModelsCentralised(Rule):
     code = "FLT001"
     name = "fault behaviour lives in repro.faults"
     rationale = (
-        "a channel wrapper whose _resolve delegates to another "
-        "channel's resolve() is an ad-hoc fault model: it mutates "
+        "a channel wrapper whose _reception (or _resolve) delegates to "
+        "another channel is an ad-hoc fault model: it mutates "
         "deliveries outside the FaultPlan, so its behaviour is "
         "invisible to telemetry, config hashes and the --faults CLI; "
         "express it as a FaultPlan component in repro/faults/ instead"
@@ -55,12 +66,12 @@ class FaultModelsCentralised(Rule):
             for item in node.body:
                 if (
                     isinstance(item, ast.FunctionDef)
-                    and item.name == "_resolve"
+                    and item.name in _HOOKS
                     and _wraps_another_channel(item)
                 ):
                     yield self.finding(
                         ctx,
                         item,
-                        f"`{node.name}._resolve` delegates to another "
-                        "channel's resolve(); " + self.rationale,
+                        f"`{node.name}.{item.name}` delegates to another "
+                        "channel; " + self.rationale,
                     )

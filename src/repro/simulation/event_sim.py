@@ -16,7 +16,11 @@ statistically identical to calling every node every slot:
 The engine therefore processes only *active* slots (some node transmits,
 a timer fires, or a node wakes).  Within an active slot, timers fire
 first, then due transmissions are collected, the channel resolves them,
-and receptions are dispatched — all within the same slot number.
+and receptions are dispatched — all within the same slot number.  The
+slot path stays on arrays: senders go to :meth:`Channel.resolve` as an
+index array beside their payloads, receptions come back as receiver and
+column arrays, and ``Transmission``/``Delivery`` objects are built only
+for end-of-slot observers.
 
 Nodes implement :class:`EventNode` and drive their own schedule through
 :class:`EventApi` (``set_rate`` / ``set_timer``); ``run`` returns a
@@ -35,7 +39,7 @@ import numpy as np
 
 from .._validation import require_int
 from ..errors import SimulationError
-from ..sinr.channel import Channel, Delivery, Transmission
+from ..sinr.channel import Channel, Deliveries, Transmission
 from .rng import spawn_generators
 from .scheduler import WakeupSchedule
 from .trace import SlotObserver
@@ -116,6 +120,9 @@ _KIND_WAKE = 0
 _KIND_TIMER = 1
 _KIND_TX = 2
 
+#: Senders/receivers/columns of a slot in which nobody transmitted.
+_NOBODY = np.empty(0, dtype=np.intp)
+
 
 @dataclass
 class EventApi:
@@ -187,6 +194,7 @@ class EventSimulator:
         ]
         self._heap: list[tuple[int, int, int]] = []  # (slot, kind, node)
         self._awake = np.zeros(len(nodes), dtype=bool)
+        self._asleep = len(nodes)
         self._rate = np.zeros(len(nodes), dtype=np.float64)
         self._next_tx = np.full(len(nodes), -1, dtype=np.int64)
         self._next_timer = np.full(len(nodes), -1, dtype=np.int64)
@@ -342,40 +350,57 @@ class EventSimulator:
 
         for node in wakes:
             self._awake[node] = True
+            self._asleep -= 1
             self._nodes[node].on_wake(self._api(node, slot))
         for node in timers:
             if self._next_timer[node] == slot:  # still armed for this slot
                 self._next_timer[node] = -1
                 self._nodes[node].on_timer(self._api(node, slot))
 
-        transmissions: list[Transmission] = []
+        nodes = self._nodes
+        sender_list: list[int] = []
+        payloads: list[Any] = []
         for node in tx_candidates:
             if self._next_tx[node] != slot:
                 continue  # a timer callback changed this node's rate
-            payload = self._nodes[node].make_payload(self._api(node, slot))
+            payload = nodes[node].make_payload(self._api(node, slot))
             self._resample_tx(node, slot)
             if payload is not None:
-                transmissions.append(Transmission(sender=node, payload=payload))
+                sender_list.append(node)
+                payloads.append(payload)
 
         t1 = perf_counter() if profiler is not None else 0.0  # repro: noqa[DET001] profiler timing; never a decision input
-        deliveries: list[Delivery] = []
         resolve_s = 0.0
-        if transmissions:
-            deliveries = self._channel.resolve(transmissions)
+        receivers = columns = senders = _NOBODY
+        if sender_list:
+            senders = np.array(sender_list, dtype=np.intp)
+            result = self._channel.resolve(senders, payloads)
             if profiler is not None:
                 resolve_s = perf_counter() - t1  # repro: noqa[DET001] profiler timing; never a decision input
-            # Sleeping radios are off: deliveries to not-yet-woken nodes are
-            # dropped (the paper's nodes wake spontaneously, never by message).
-            deliveries = [d for d in deliveries if self._awake[d.receiver]]
-            for delivery in deliveries:
-                self._nodes[delivery.receiver].on_receive(
-                    self._api(delivery.receiver, slot),
-                    delivery.sender,
-                    delivery.payload,
+            receivers, columns = result.receivers, result.columns
+            if self._asleep:
+                # Sleeping radios are off: deliveries to not-yet-woken nodes
+                # are dropped (the paper's nodes wake spontaneously, never by
+                # message).
+                awake = self._awake[receivers]
+                receivers, columns = receivers[awake], columns[awake]
+            apis = self._apis
+            for receiver, column in zip(receivers.tolist(), columns.tolist()):
+                api = apis[receiver]
+                api.slot = slot
+                nodes[receiver].on_receive(
+                    api, sender_list[column], payloads[column]
                 )
+        delivered = len(receivers)
         t2 = perf_counter() if profiler is not None else 0.0  # repro: noqa[DET001] profiler timing; never a decision input
-        for observer in self._observers:
-            observer.on_slot_end(slot, transmissions, deliveries)
+        if self._observers:
+            transmissions = [
+                Transmission(sender, payload)
+                for sender, payload in zip(sender_list, payloads)
+            ]
+            deliveries = list(Deliveries(receivers, columns, senders, payloads))
+            for observer in self._observers:
+                observer.on_slot_end(slot, transmissions, deliveries)
         if profiler is not None:
             t3 = perf_counter()  # repro: noqa[DET001] profiler timing; never a decision input
             profiler.record_slot(
@@ -383,15 +408,15 @@ class EventSimulator:
                 node_s=(t1 - t0) + (t2 - t1 - resolve_s),
                 resolve_s=resolve_s,
                 observer_s=t3 - t2,
-                transmissions=len(transmissions),
-                deliveries=len(deliveries),
+                transmissions=len(sender_list),
+                deliveries=delivered,
             )
         if self._m_slots is not None:
             self._m_slots.inc()
-            self._m_transmissions.inc(len(transmissions))
-            self._m_deliveries.inc(len(deliveries))
-        self._transmission_count += len(transmissions)
-        self._delivery_count += len(deliveries)
+            self._m_transmissions.inc(len(sender_list))
+            self._m_deliveries.inc(delivered)
+        self._transmission_count += len(sender_list)
+        self._delivery_count += delivered
 
     def _api(self, node: int, slot: int) -> EventApi:
         api = self._apis[node]

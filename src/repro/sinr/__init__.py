@@ -21,6 +21,7 @@ from __future__ import annotations
 from .channel import (
     Channel,
     CollisionFreeChannel,
+    Deliveries,
     Delivery,
     GraphChannel,
     ProtocolChannel,
@@ -35,6 +36,7 @@ from .sparse import SparseResolutionEngine
 __all__ = [
     "Channel",
     "CollisionFreeChannel",
+    "Deliveries",
     "Delivery",
     "EngineCacheInfo",
     "GraphChannel",

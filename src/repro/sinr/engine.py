@@ -19,8 +19,8 @@ matrix up to twice per slot and then walked receivers in Python;
   the geometry entirely after the first frame.
 
 The engine knows nothing about payloads or channel semantics; channels
-translate its masks into :class:`~repro.sinr.channel.Delivery` lists via
-:func:`build_deliveries`.
+turn its masks into the ``(receivers, columns)`` arrays of their
+``_reception`` hook (see :mod:`repro.sinr.channel`).
 
 Cache semantics
 ---------------
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "ResolutionEngine",
     "SlotGeometry",
     "apply_power_law",
-    "build_deliveries",
 ]
 
 
@@ -125,14 +124,14 @@ class SlotGeometry:
     def __init__(self, senders: np.ndarray, dist_sq: np.ndarray) -> None:
         self.senders = senders
         self.dist_sq = dist_sq
-        self._derived: dict[str, Any] = {}
+        self._derived: dict[Hashable, Any] = {}
 
     @property
     def k(self) -> int:
         """Number of senders (columns)."""
         return self.senders.size
 
-    def derive(self, key: str, compute: Callable[[], Any]) -> Any:
+    def derive(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """Memoise ``compute()`` under ``key`` for the life of this geometry."""
         try:
             return self._derived[key]
@@ -171,7 +170,7 @@ class SlotGeometry:
             received[self.senders, np.arange(self.k)] = 0.0
             return received
 
-        return self.derive(f"power:{power!r}:{alpha!r}:{floor_sq!r}", compute)
+        return self.derive(("power", power, alpha, floor_sq), compute)
 
 
 class ResolutionEngine:
@@ -300,28 +299,3 @@ class ResolutionEngine:
         senders = np.ascontiguousarray(senders, dtype=np.intp)
         return np.sqrt(self._distance_sq(senders))
 
-
-def build_deliveries(
-    receivers: np.ndarray,
-    columns: np.ndarray,
-    senders: np.ndarray,
-    transmissions: Sequence,
-) -> list:
-    """Materialise ``Delivery`` objects from vectorised selection results.
-
-    ``receivers[i]`` decoded the transmission in column ``columns[i]``
-    (an index into ``senders``/``transmissions``).  Kept here so all four
-    channels share one construction path; imports ``Delivery`` lazily to
-    avoid a circular import with :mod:`repro.sinr.channel`.
-    """
-    from .channel import Delivery
-
-    sender_list = senders.tolist()
-    return [
-        Delivery(
-            receiver=receiver,
-            sender=sender_list[column],
-            payload=transmissions[column].payload,
-        )
-        for receiver, column in zip(receivers.tolist(), columns.tolist())
-    ]

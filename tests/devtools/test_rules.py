@@ -114,6 +114,11 @@ class TestFaultBoundaryRule:
         # PlainChannel._resolve computes deliveries itself (clean).
         assert codes_in("sinr/flt_wrapper.py", "FLT001") == ["FLT001"]
 
+    def test_flt001_flags_a_reception_hook_that_delegates(self):
+        # MutingChannel._reception asks inner._reception (flagged);
+        # LeafChannel._reception only calls its own helpers (clean).
+        assert codes_in("sinr/flt_reception.py", "FLT001") == ["FLT001"]
+
     def test_flt001_exempts_the_faults_package(self):
         assert codes_in("faults/flt_home.py", "FLT001") == []
 

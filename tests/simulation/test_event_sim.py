@@ -288,3 +288,56 @@ class TestValidation:
         stats = sim.run(max_slots=10, stop=lambda s: False)
         assert stats.slots_run == 10
         assert all(slot < 10 for slot in nodes[0].tx_slots)
+
+
+class TestArraySlotPath:
+    """The slot path runs on arrays; observers only add object building."""
+
+    @staticmethod
+    def run(observers=()):
+        from repro.coloring.runner import run_mw_coloring
+        from repro.geometry.deployment import uniform_deployment
+
+        deployment = uniform_deployment(40, 3.0, seed=4)
+        # late wakers make the engine drop deliveries to sleeping radios
+        schedule = WakeupSchedule.uniform_random(40, max_delay=2000, seed=2)
+        return run_mw_coloring(
+            deployment, seed=5, schedule=schedule, observers=observers
+        )
+
+    def test_observer_does_not_change_the_run(self):
+        seen = []
+
+        class Observer:
+            def on_slot_end(self, slot, transmissions, deliveries):
+                seen.append(len(deliveries))
+
+        plain = self.run()
+        observed = self.run(observers=[Observer()])
+        assert observed.stats == plain.stats
+        assert np.array_equal(observed.coloring.colors, plain.coloring.colors)
+        assert np.array_equal(observed.decision_slots, plain.decision_slots)
+        assert sum(seen) == plain.stats.deliveries > 0
+
+    def test_observer_free_run_builds_no_delivery_objects(self, monkeypatch):
+        from repro.sinr.channel import Delivery, Transmission
+
+        built = {"Delivery": 0, "Transmission": 0}
+        for cls in (Delivery, Transmission):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, _name=cls.__name__, **kw):
+                built[_name] += 1
+                _original(self, *args, **kw)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        assert self.run().stats.deliveries > 0
+        assert built == {"Delivery": 0, "Transmission": 0}
+
+        class Observer:
+            def on_slot_end(self, slot, transmissions, deliveries):
+                pass
+
+        self.run(observers=[Observer()])
+        assert built["Delivery"] > 0 and built["Transmission"] > 0

@@ -75,3 +75,16 @@ class TestCollisionFreeChannel:
             (0, "b"),
             (1, "a"),
         ]
+
+
+class TestGraphChannelMatchesTheGraph:
+    def test_pair_at_exactly_the_radius_across_a_cell_boundary(self):
+        # x = -5e-18 and x = 0.1 are exactly 0.1 apart; a grid of side 0.1
+        # puts them two cells apart, the graph's own pair kernel does not
+        from repro.graphs.udg import UnitDiskGraph
+
+        positions = np.array([[-5e-18, 0.0], [0.1, 0.0]])
+        assert UnitDiskGraph(positions, 0.1).edge_count == 1
+        channel = GraphChannel(positions, radius=0.1)
+        deliveries = channel.resolve([Transmission(0, "x")])
+        assert [(d.receiver, d.sender) for d in deliveries] == [(1, 0)]

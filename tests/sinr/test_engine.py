@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sinr.channel import SINRChannel, Transmission
-from repro.sinr.engine import ResolutionEngine, build_deliveries
+from repro.sinr.channel import Deliveries, Delivery, SINRChannel, Transmission
+from repro.sinr.engine import ResolutionEngine
 from repro.sinr.params import PhysicalParams
 
 PARAMS = PhysicalParams().with_r_t(1.0)
@@ -196,13 +196,12 @@ class TestChannelIntegration:
         assert np.all(again >= 0.0)
 
 
-class TestBuildDeliveries:
+class TestDeliveries:
     def test_builds_python_typed_deliveries(self):
         senders = np.array([5, 9], dtype=np.intp)
-        transmissions = [Transmission(5, "a"), Transmission(9, "b")]
         receivers = np.array([2, 3], dtype=np.intp)
         columns = np.array([1, 0], dtype=np.intp)
-        deliveries = build_deliveries(receivers, columns, senders, transmissions)
+        deliveries = Deliveries(receivers, columns, senders, ["a", "b"])
         assert [(d.receiver, d.sender, d.payload) for d in deliveries] == [
             (2, 9, "b"),
             (3, 5, "a"),
@@ -210,3 +209,29 @@ class TestBuildDeliveries:
         assert all(
             type(d.receiver) is int and type(d.sender) is int for d in deliveries
         )
+
+    def test_length_and_arrays_build_no_objects(self):
+        deliveries = Deliveries(
+            np.array([0, 4], dtype=np.intp),
+            np.array([0, 0], dtype=np.intp),
+            np.array([7], dtype=np.intp),
+            ["x"],
+        )
+        assert len(deliveries) == 2
+        assert deliveries.receivers.tolist() == [0, 4]
+        assert deliveries._items is None
+
+    def test_equals_the_list_of_the_same_deliveries(self):
+        deliveries = Deliveries(
+            np.array([1, 3], dtype=np.intp),
+            np.array([0, 1], dtype=np.intp),
+            np.array([5, 6], dtype=np.intp),
+            ["a", "b"],
+        )
+        expected = [Delivery(1, 5, "a"), Delivery(3, 6, "b")]
+        assert deliveries == expected
+        assert expected == deliveries
+        assert deliveries != expected[::-1]
+        assert deliveries[-1] == Delivery(3, 6, "b")
+        assert deliveries[:1] == expected[:1]
+        assert Delivery(1, 5, "a") in deliveries
