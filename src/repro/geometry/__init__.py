@@ -8,7 +8,8 @@ about nodes placed in the Euclidean plane:
   the interference-bounding arguments of the paper (Lemma 3, Theorem 3).
 * :mod:`repro.geometry.grid_index` — a uniform-grid spatial index giving
   expected O(1) range queries for bounded-density deployments, and the
-  vectorised all-pairs form :func:`candidate_pairs`.
+  vectorised all-pairs form :func:`candidate_pairs`, and
+  :func:`unit_disk_csr`, the unit-disk graph's adjacency built from it.
 * :mod:`repro.geometry.deployment` — synthetic node-placement generators.
 * :mod:`repro.geometry.density` — the packing bound ``phi(R)`` of the paper
   and an empirical estimator for it.
@@ -27,7 +28,7 @@ from .deployment import (
     uniform_deployment,
 )
 from .density import phi_empirical, phi_upper_bound
-from .grid_index import GridIndex, candidate_pairs
+from .grid_index import GridIndex, candidate_pairs, unit_disk_csr
 from .point import chebyshev_distance, distance, distance_matrix, pairwise_distances
 from .region import Annulus, Disc
 
@@ -50,4 +51,5 @@ __all__ = [
     "poisson_deployment",
     "ring_deployment",
     "uniform_deployment",
+    "unit_disk_csr",
 ]

@@ -5,7 +5,9 @@ Unit-disk-graph construction and channel bookkeeping need many
 deployments this library works with, bucketing points into square cells of
 side ``cell_size`` answers such queries in expected O(1 + output) time.
 :func:`candidate_pairs` answers the all-pairs form of the question — every
-pair close enough to matter — in one vectorised pass over the same grid.
+pair close enough to matter — in one vectorised pass over the same grid
+— and :func:`unit_disk_csr` turns it into the unit-disk graph's
+adjacency, the one place that decides what an edge is.
 
 The index is immutable: it is built once over a position array and then
 queried.  This matches how the library uses it (deployments never move) and
@@ -23,7 +25,7 @@ from .._validation import require_positive
 from ..errors import ConfigurationError
 from .point import as_positions
 
-__all__ = ["GridIndex", "candidate_pairs"]
+__all__ = ["GridIndex", "candidate_pairs", "unit_disk_csr"]
 
 
 class GridIndex:
@@ -171,3 +173,28 @@ def candidate_pairs(
     i, j = i[by_pair], j[by_pair]
     diff = positions[i] - positions[j]
     return i, j, np.einsum("ij,ij->i", diff, diff)
+
+
+def unit_disk_csr(
+    positions: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-disk graph's adjacency in compressed sparse row form.
+
+    Returns ``(start, adjacent)``: node ``u``'s neighbours, ascending,
+    are ``adjacent[start[u]:start[u + 1]]``.  ``u`` and ``v`` are
+    adjacent iff ``u != v`` and their squared distance from
+    :func:`candidate_pairs` is at most ``radius**2`` — the rule every
+    consumer of the graph (the unit-disk graph, the graph channel)
+    shares by calling this function.
+    """
+    positions = as_positions(positions)
+    i, j, sq = candidate_pairs(positions, radius)
+    near = sq <= radius * radius
+    i, j = i[near], j[near]
+    # Pairs come sorted by (i, j): listing each edge from its j end
+    # first, a stable sort by owner leaves every list ascending.
+    owner = np.concatenate((j, i))
+    adjacent = np.concatenate((i, j))[np.argsort(owner, kind="stable")]
+    start = np.zeros(len(positions) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=len(positions)), out=start[1:])
+    return start, adjacent

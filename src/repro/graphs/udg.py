@@ -4,7 +4,7 @@ The paper models the network as the graph ``G = (V, E, R_T)`` with an edge
 between ``u`` and ``v`` iff ``delta(u, v) <= R_T`` — in the absence of other
 transmissions, ``u`` hears ``v`` within the transmission range ``R_T``
 (Section II).  :class:`UnitDiskGraph` materialises the adjacency structure
-once (via :func:`~repro.geometry.grid_index.candidate_pairs`, expected
+once (via :func:`~repro.geometry.grid_index.unit_disk_csr`, expected
 O(n log n + n * degree)) and provides the degree and neighborhood queries
 every other subsystem relies on.
 """
@@ -18,7 +18,7 @@ import numpy as np
 from .._validation import require_positive
 from ..errors import ConfigurationError
 from ..geometry.deployment import Deployment
-from ..geometry.grid_index import GridIndex, candidate_pairs
+from ..geometry.grid_index import GridIndex, unit_disk_csr
 from ..geometry.point import as_positions
 
 __all__ = ["UnitDiskGraph"]
@@ -42,17 +42,11 @@ class UnitDiskGraph:
             positions = positions.positions
         self._positions = as_positions(positions)
         self._radius = require_positive("radius", radius)
-        i, j, sq = candidate_pairs(self._positions, radius)
-        near = sq <= radius * radius
-        i, j = i[near], j[near]
-        # Pairs come sorted by (i, j): listing each edge from its j end
-        # first, a stable sort by owner leaves every list ascending.
-        owner = np.concatenate((j, i))
-        adjacent = np.concatenate((i, j))[np.argsort(owner, kind="stable")]
-        self._degrees = np.bincount(owner, minlength=self.n).astype(np.intp)
-        ends = np.cumsum(self._degrees).tolist()
+        start, adjacent = unit_disk_csr(self._positions, radius)
+        self._degrees = np.diff(start)
+        bounds = start.tolist()
         self._neighbors: list[np.ndarray] = [
-            adjacent[start:end] for start, end in zip([0, *ends], ends)
+            adjacent[lo:hi] for lo, hi in zip(bounds, bounds[1:])
         ]
 
     # -- basic accessors ---------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.geometry.grid_index import GridIndex, candidate_pairs
+from repro.geometry.grid_index import GridIndex, candidate_pairs, unit_disk_csr
 
 
 def brute_force_disc(positions, center, radius):
@@ -86,6 +86,16 @@ class TestNeighbors:
         near = sq <= 1.0
         pairs = list(zip(i[near].tolist(), j[near].tolist()))
         assert pairs == [(0, 1), (0, 2), (1, 2)]
+
+    def test_unit_disk_csr_lists_every_neighbour_ascending(self):
+        rng = np.random.default_rng(3)
+        positions = rng.uniform(0, 6, size=(150, 2))
+        start, adjacent = unit_disk_csr(positions, 1.0)
+        assert start.tolist()[0] == 0 and start.tolist()[-1] == adjacent.size
+        for u in range(len(positions)):
+            expected = brute_force_disc(positions, positions[u], 1.0)
+            expected = expected[expected != u]
+            np.testing.assert_array_equal(adjacent[start[u] : start[u + 1]], expected)
 
     def test_len(self):
         index = GridIndex(np.zeros((7, 2)), cell_size=1.0)
