@@ -1,38 +1,42 @@
-"""Sparse-resolver scaling benchmark: per-slot cost from n = 10^3 to 10^6.
+"""Dense or sparse?  The two user operations where the sparse resolver can win.
 
-Resolves single slots through ``SINRChannel`` at fixed deployment density
-while n grows by three orders of magnitude, once per backend:
+The sparse SINR resolver (:mod:`repro.sinr.sparse`) keeps the near field
+exact and charges the far field with the paper's Lemma 3 cap, so it only
+pays off where a large sender set meets a large deployment.  Two user
+operations can get there, and this script times both, once per backend:
 
-* ``resolver="dense"`` — the exact ``(n, k)`` matrix engine, only at
-  sizes where that matrix is still sane to materialise;
-* ``resolver="sparse"`` — the grid-bucketed engine of
-  :mod:`repro.sinr.sparse`, all the way up.
+* ``mw`` — one audited MW coloring run, the ``repro color`` path
+  (:func:`repro.coloring.runner.run_mw_coloring_audited`), at
+  n in {400, 1500, 3000};
+* ``srs`` — one Corollary 1 SRS flooding run, the ``repro srs`` path
+  (UDG, greedy distance-(d+1) coloring, TDMA frame,
+  :func:`repro.mac.srs.simulate_uniform_algorithm`), at
+  n in {10^3, 10^4, 4*10^4}, flooding the source's connected component
+  (the command itself refuses disconnected deployments).
 
-For each size the script records wall-clock per slot, the tracemalloc
-peak of one resolve (the slot working set), and the sparse engine's pair
-counters.  The headline is the fitted scaling exponent of sparse time
-and memory against n — the acceptance line is *sub-quadratic* (the dense
-engine is exactly quadratic at fixed density; the sparse design note in
-``docs/SCALING.md`` predicts ~linear).  The table is written to
-``BENCH_sparse.json`` next to this file; that JSON is committed as the
-repo's scaling baseline.
+Each at alpha in {4, 8} (``R_I`` = 48 and ~5.5 R_T), the repo's baseline
+density of 100 nodes per 36 unit^2 and deployment seed 1.  One run per
+cell, whole operation wall clock (deployment built outside the clock).
 
-Before timing is trusted, every size that both backends can run is
-cross-checked: the sparse delivery set must be contained in the dense
-one (the certified far-field term only ever suppresses deliveries).  A
-divergence is a bug, not noise.
+Before anything is timed, every size is cross-checked: the sparse
+delivery set must be contained in the dense one (the certified far
+term only ever suppresses deliveries).  For ``mw`` the check replays the
+sender sets of the first ``CHECK_SLOTS`` active slots of a sparse run on
+a dense channel; for ``srs`` every color class of the TDMA frame
+transmits at once.  A divergence is a bug, not noise.
 
-Physics: ``alpha = 8`` keeps the interference disc at R_I ~ 5.5 R_T
-(the default ``alpha = 4`` gives R_I = 48 R_T, which at benchmark
-densities would put most of a mid-sized deployment inside one disc and
-measure the dense regime twice).  Senders are a deterministic 1% stride
-of the node order — uniform deployments make that spatially uniform
-without touching any RNG.
+The full run writes ``BENCH_sparse.json`` next to this file (the
+committed numbers) and prints the "Dense or sparse?" table of
+``docs/SCALING.md``; ``--table`` prints that table from the committed
+JSON without running anything.  ``--quick`` (CI smoke) runs one small
+cell of each operation, checked and timed, and writes only with
+``--out``.
 
 Run it from the repository root::
 
-    PYTHONPATH=src python benchmarks/perf/bench_sparse.py          # full, ~5 min
+    PYTHONPATH=src python benchmarks/perf/bench_sparse.py          # full, ~40 min
     PYTHONPATH=src python benchmarks/perf/bench_sparse.py --quick  # CI smoke
+    PYTHONPATH=src python benchmarks/perf/bench_sparse.py --table  # docs table
 
 (The script falls back to inserting ``src/`` into ``sys.path`` itself, so
 plain ``python benchmarks/perf/bench_sparse.py`` also works.)
@@ -43,11 +47,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import pathlib
 import platform
 import sys
 import time
-import tracemalloc
 
 HERE = pathlib.Path(__file__).resolve().parent
 REPO_ROOT = HERE.parent.parent
@@ -57,7 +61,16 @@ try:  # allow running without PYTHONPATH=src
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import numpy as np
+
+from repro.coloring.baselines import greedy_coloring
+from repro.coloring.runner import run_mw_coloring, run_mw_coloring_audited
 from repro.geometry.deployment import uniform_deployment
+from repro.graphs.power import power_graph
+from repro.graphs.udg import UnitDiskGraph
+from repro.mac.srs import simulate_uniform_algorithm
+from repro.mac.tdma import TDMASchedule
+from repro.messaging.algorithms import FloodingBroadcast
 from repro.sinr.channel import SINRChannel, Transmission
 from repro.sinr.params import PhysicalParams
 
@@ -65,135 +78,216 @@ OUT = HERE / "BENCH_sparse.json"
 
 #: nodes per unit^2 of the repo's n=100, extent-6 baseline density
 DENSITY = 100 / 36.0
+SEED = 1
+ALPHAS = (4.0, 8.0)
+FULL = {"mw": (400, 1500, 3000), "srs": (1_000, 10_000, 40_000)}
+QUICK = {"mw": (100,), "srs": (1_000,)}
 
-#: largest n the dense (n, k) engine is asked to materialise here
-DENSE_CEILING = 20_000
-
-#: transmitting fraction per slot (every SLOT_STRIDE-th node)
-SLOT_STRIDE = 100
-
-PARAMS = PhysicalParams(alpha=8.0).with_r_t(1.0)
-
-
-def _transmissions(n: int, offset: int) -> list[Transmission]:
-    """A deterministic ~1% sender slice, shifted per slot by ``offset``."""
-    return [
-        Transmission(sender, ("p", sender))
-        for sender in range(offset, n, SLOT_STRIDE)
-    ]
+#: active MW slots whose sender sets the cross-check replays on dense
+CHECK_SLOTS = 300
 
 
-def _as_set(deliveries) -> set:
-    return {(d.receiver, d.sender, d.payload) for d in deliveries}
+#: frame cap for flooding; the flood halts long before it on every cell
+MAX_ROUNDS = 2_000
 
 
-def _slot_cost(channel: SINRChannel, n: int, slots: int) -> tuple[float, int]:
-    """(mean seconds per slot, tracemalloc peak bytes of one resolve)."""
-    channel.resolve(_transmissions(n, 0))  # warm caches / grid
-    start = time.perf_counter()
-    for offset in range(1, slots + 1):
-        channel.resolve(_transmissions(n, offset))
-    per_slot_s = (time.perf_counter() - start) / slots
-    tracemalloc.start()
-    channel.resolve(_transmissions(n, slots + 1))
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return per_slot_s, peak
+class _Checked(Exception):
+    """Ends the MW cross-check run once ``CHECK_SLOTS`` slots are checked."""
 
 
-def _measure(n: int, slots: int, deployment_seed: int) -> dict:
-    extent = math.sqrt(n / DENSITY)
-    deployment = uniform_deployment(n, extent, seed=deployment_seed)
-    k = len(_transmissions(n, 0))
+def _params(alpha: float) -> PhysicalParams:
+    return PhysicalParams(alpha=alpha).with_r_t(1.0)
 
-    sparse = SINRChannel(deployment.positions, PARAMS, resolver="sparse")
-    if n <= DENSE_CEILING:
-        dense = SINRChannel(deployment.positions, PARAMS)
-        sparse_set = _as_set(sparse.resolve(_transmissions(n, 0)))
-        dense_set = _as_set(dense.resolve(_transmissions(n, 0)))
-        if not sparse_set <= dense_set:  # pragma: no cover - bench guard
-            raise SystemExit(f"n={n}: sparse deliveries not a subset of dense")
-        dense_s, dense_peak = _slot_cost(dense, n, slots)
-    else:
-        dense_s = dense_peak = None
 
-    sparse_s, sparse_peak = _slot_cost(sparse, n, slots)
-    engine = sparse.sparse_engine
-    row = {
-        "n": n,
-        "k": k,
-        "extent": round(extent, 2),
-        "slots_timed": slots,
-        "sparse_per_slot_s": sparse_s,
-        "sparse_slot_peak_bytes": sparse_peak,
-        "pair_evals_per_slot": engine.pair_evals // (slots + 2),
-        "near_pairs_per_slot": engine.near_pairs // (slots + 2),
-        "dense_per_slot_s": dense_s,
-        "dense_slot_peak_bytes": dense_peak,
-        "dense_pairs_per_slot": n * k if dense_s is not None else None,
+def _positions(n: int) -> np.ndarray:
+    return uniform_deployment(n, math.sqrt(n / DENSITY), seed=SEED).positions
+
+
+class _SubsetCheck:
+    """Slot observer: the sparse deliveries of each slot ⊆ dense ones."""
+
+    def __init__(self, dense: SINRChannel, limit: int | None = None) -> None:
+        self.dense = dense
+        self.limit = limit
+        self.slots = 0
+        self.deliveries = 0
+
+    def on_slot_end(self, slot, transmissions, deliveries) -> None:
+        sparse = {(d.receiver, d.sender) for d in deliveries}
+        dense = {(d.receiver, d.sender) for d in self.dense.resolve(transmissions)}
+        if not sparse <= dense:
+            raise SystemExit(f"slot {slot}: sparse deliveries not a subset of dense")
+        self.slots += 1
+        self.deliveries += len(sparse)
+        if self.slots == self.limit:
+            raise _Checked
+
+
+def _check_mw(positions: np.ndarray, params: PhysicalParams) -> dict:
+    check = _SubsetCheck(SINRChannel(positions, params), limit=CHECK_SLOTS)
+    try:
+        run_mw_coloring(
+            positions, params, seed=SEED, resolver="sparse", observers=(check,)
+        )
+    except _Checked:
+        pass
+    return {"checked_slots": check.slots, "checked_deliveries": check.deliveries}
+
+
+def _run_mw(positions: np.ndarray, params: PhysicalParams, resolver: str) -> dict:
+    result, auditor = run_mw_coloring_audited(
+        positions, params, seed=SEED, resolver=resolver
+    )
+    return {
+        "slots": result.stats.slots_run,
+        "ok": bool(
+            result.stats.completed and result.is_proper() and auditor.clean
+        ),
     }
-    if dense_s is not None:
-        row["sparse_speedup"] = dense_s / sparse_s
+
+
+def _component(positions: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """The positions of the deployment's largest connected component."""
+    graph = UnitDiskGraph(positions, params.r_t)
+    return positions[graph.connected_components()[0]]
+
+
+def _schedule(graph: UnitDiskGraph, params: PhysicalParams) -> TDMASchedule:
+    return TDMASchedule(
+        greedy_coloring(power_graph(graph, params.mac_distance + 1))
+    )
+
+
+def _check_srs(positions: np.ndarray, params: PhysicalParams) -> dict:
+    schedule = _schedule(UnitDiskGraph(positions, params.r_t), params)
+    dense = SINRChannel(positions, params)
+    sparse = SINRChannel(positions, params, resolver="sparse")
+    check = _SubsetCheck(dense)
+    for slot in range(schedule.frame_length):
+        transmissions = [
+            Transmission(int(s), None) for s in schedule.nodes_in_slot(slot)
+        ]
+        if transmissions:
+            check.on_slot_end(slot, transmissions, sparse.resolve(transmissions))
+    return {"checked_slots": check.slots, "checked_deliveries": check.deliveries}
+
+
+def _run_srs(positions: np.ndarray, params: PhysicalParams, resolver: str) -> dict:
+    graph = UnitDiskGraph(positions, params.r_t)
+    schedule = _schedule(graph, params)
+    report = simulate_uniform_algorithm(
+        graph,
+        [FloodingBroadcast(source=0) for _ in range(graph.n)],
+        schedule,
+        params,
+        max_rounds=MAX_ROUNDS,
+        resolver=resolver,
+    )
+    return {
+        "slots": report.slots,
+        "ok": bool(report.halted and report.exact),
+    }
+
+
+OPERATIONS = {"mw": (_check_mw, _run_mw), "srs": (_check_srs, _run_srs)}
+
+
+def _measure(operation: str, n: int, alpha: float) -> dict:
+    params = _params(alpha)
+    positions = _positions(n)
+    if operation == "srs":
+        positions = _component(positions, params)
+    check, run = OPERATIONS[operation]
+    row = {"operation": operation, "n": n, "nodes": len(positions), "alpha": alpha}
+    row.update(check(positions, params))
+    for resolver in ("dense", "sparse"):
+        began = time.perf_counter()
+        outcome = run(positions, params, resolver)
+        row[f"{resolver}_s"] = round(time.perf_counter() - began, 2)
+        row[f"{resolver}_slots"] = outcome["slots"]
+        row[f"{resolver}_ok"] = outcome["ok"]
+    row["sparse_speedup"] = round(row["dense_s"] / row["sparse_s"], 2)
+    print(
+        f"{operation} n={n:>6,} alpha={alpha:g}: dense {row['dense_s']:.2f}s, "
+        f"sparse {row['sparse_s']:.2f}s ({row['checked_slots']} slots checked)",
+        flush=True,
+    )
     return row
 
 
-def _exponent(results: list[dict], key: str) -> float:
-    """Log-log slope of ``key`` against n between the end points."""
-    first, last = results[0], results[-1]
-    return math.log(last[key] / first[key]) / math.log(last["n"] / first["n"])
+def _power_of_ten(n: int) -> str:
+    """``40000`` -> ``4·10⁴``; small round numbers stay plain."""
+    if n < 10_000:
+        return str(n)
+    exponent = int(math.log10(n))
+    mantissa = n // 10**exponent
+    superscript = str(exponent).translate(str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹"))
+    head = "" if mantissa == 1 else f"{mantissa}·"
+    return f"{head}10{superscript}"
+
+
+def markdown_table(report: dict) -> str:
+    """The "Dense or sparse?" table of ``docs/SCALING.md``."""
+    lines = [
+        "| operation | n | α | dense s | sparse s | dense / sparse | faster |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for row in report["results"]:
+        faster = "sparse" if row["sparse_s"] < row["dense_s"] else "dense"
+        lines.append(
+            f"| {row['operation']} | {_power_of_ten(row['n'])} | "
+            f"{row['alpha']:g} | {row['dense_s']:.2f} | {row['sparse_s']:.2f} | "
+            f"{row['sparse_speedup']:.2f} | {faster} |"
+        )
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small workload for CI smoke"
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--quick", action="store_true", help="one small cell per operation (CI)"
     )
-    parser.add_argument("--out", type=pathlib.Path, default=OUT)
+    mode.add_argument(
+        "--table", action="store_true",
+        help="print the docs table from the committed JSON and exit",
+    )
+    parser.add_argument("--out", type=pathlib.Path, default=None)
     args = parser.parse_args(argv)
 
-    if args.quick:
-        workloads = [(1_000, 5), (4_000, 5)]
-    else:
-        workloads = [(1_000, 5), (10_000, 5), (100_000, 3), (1_000_000, 2)]
+    if args.table:
+        print(markdown_table(json.loads(OUT.read_text())))
+        return 0
 
-    results = [_measure(n, slots, deployment_seed=7) for n, slots in workloads]
-
-    time_exponent = _exponent(results, "sparse_per_slot_s")
-    memory_exponent = _exponent(results, "sparse_slot_peak_bytes")
+    sizes = QUICK if args.quick else FULL
+    alphas = (8.0,) if args.quick else ALPHAS
+    results = [
+        _measure(operation, n, alpha)
+        for operation, ns in sizes.items()
+        for n in ns
+        for alpha in alphas
+    ]
     report = {
-        "benchmark": "sparse-resolver-scaling",
+        "benchmark": "sparse-resolver-operations",
         "python": platform.python_version(),
+        "numpy": np.__version__,
         "machine": platform.machine(),
-        "params": {"alpha": PARAMS.alpha, "r_i_over_r_t": PARAMS.r_i / PARAMS.r_t},
+        "cpus": os.cpu_count(),
+        "density": DENSITY,
+        "seed": SEED,
         "note": (
-            "per-slot SINR resolution at fixed density, 1% senders; sparse "
-            "deliveries cross-checked as a subset of dense before timing; "
-            "exponents are log-log end-point slopes (dense is 2.0 by "
-            "construction, sub-quadratic is the acceptance line)"
+            "one run per cell, whole-operation wall clock in seconds: mw is "
+            "run_mw_coloring_audited (repro color), srs is SRS flooding over "
+            "the largest connected component (repro srs); sparse deliveries "
+            "cross-checked as a subset of dense before timing"
         ),
         "results": results,
-        "time_scaling_exponent": time_exponent,
-        "memory_scaling_exponent": memory_exponent,
-        "sub_quadratic": time_exponent < 2.0 and memory_exponent < 2.0,
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-
-    for row in results:
-        dense = (
-            f"dense {row['dense_per_slot_s'] * 1e3:.1f}ms"
-            if row["dense_per_slot_s"] is not None
-            else "dense skipped"
-        )
-        print(
-            f"n={row['n']:>9,} k={row['k']:>6,}: sparse "
-            f"{row['sparse_per_slot_s'] * 1e3:.1f}ms/slot "
-            f"({row['sparse_slot_peak_bytes'] / 1e6:.1f}MB peak), {dense}"
-        )
-    print(
-        f"scaling exponents: time {time_exponent:.2f}, "
-        f"memory {memory_exponent:.2f} (dense = 2.00)"
-    )
-    print(f"wrote {args.out}")
+    out = args.out if args.out is not None else (None if args.quick else OUT)
+    if out is not None:
+        out.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {out}")
+    print(markdown_table(report))
     return 0
 
 

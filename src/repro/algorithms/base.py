@@ -65,7 +65,7 @@ class ColoringTask:
     (deployment, seed, fault plan) and hands it to every competitor, so
     head-to-head rows compare algorithms under identical conditions.
 
-    ``channel``/``resolver``/``faults``/``telemetry`` only bind for
+    ``channel``/``faults``/``telemetry`` only bind for
     SINR-protocol algorithms; classical and centralised entries compute
     in interference-free abstractions (their results record that via
     ``extras``), which is exactly the modelling gap the arena exists to
@@ -76,7 +76,6 @@ class ColoringTask:
     params: PhysicalParams | None = None
     seed: int = 0
     channel: str = "sinr"
-    resolver: str = "dense"
     faults: FaultPlan | None = None
     max_slots: int | None = None
     telemetry: Telemetry | None = None

@@ -33,7 +33,6 @@ def run_coloring_algorithm(
     *,
     seed: int = 0,
     channel: str = "sinr",
-    resolver: str = "dense",
     faults: Any = None,
     max_slots: int | None = None,
     telemetry: Any = None,
@@ -42,8 +41,9 @@ def run_coloring_algorithm(
 
     ``algorithm`` is a registry name (or an entry instance); everything
     else mirrors :func:`repro.coloring.runner.run_mw_coloring`'s
-    surface, so call sites migrate by adding one argument, and exports
-    the run to ``telemetry.out`` when that is set.
+    surface (every entry runs on the dense SINR engine), so call sites
+    migrate by adding one argument, and exports the run to
+    ``telemetry.out`` when that is set.
     """
     from .registry import get_algorithm
 
@@ -57,7 +57,6 @@ def run_coloring_algorithm(
         params=params,
         seed=seed,
         channel=channel,
-        resolver=resolver,
         faults=faults,
         max_slots=max_slots,
         telemetry=telemetry,
@@ -99,7 +98,6 @@ def run_event_protocol(
         ),
         seed=task.seed,
         channel=task.channel,
-        resolver=task.resolver,
         faults=task.faults,
         decision_listeners=(auditor.on_decision,),
         telemetry=task.telemetry,

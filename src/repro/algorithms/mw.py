@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analysis.theory import palette_bound
 from ..coloring.runner import run_mw_coloring_audited
 from .base import ColoringAlgorithm, ColoringRunResult, ColoringTask
 from .registry import register_algorithm
@@ -39,7 +40,7 @@ class MWColoring(ColoringAlgorithm):
         ``phi(2R_T)`` (much smaller); this is the geometry-free worst
         case the entry promises for any unit-disk instance.
         """
-        return (_PHI_2RT_CAP + 1) * (delta + 1)
+        return palette_bound(_PHI_2RT_CAP, delta)
 
     def run(self, task: ColoringTask) -> ColoringRunResult:
         result, auditor = run_mw_coloring_audited(
@@ -47,7 +48,6 @@ class MWColoring(ColoringAlgorithm):
             task.params,
             seed=task.seed,
             channel=task.channel,
-            resolver=task.resolver,
             max_slots=task.max_slots,
             telemetry=task.telemetry,
             faults=task.faults,

@@ -134,8 +134,8 @@ def _add_resolver_args(parser: argparse.ArgumentParser) -> None:
         default="dense",
         help=(
             "SINR interference backend: exact dense matrix (default) or "
-            "the grid-bucketed sparse engine for large deployments "
-            "(docs/SCALING.md)"
+            "the grid-bucketed sparse engine (color: --algorithm mw only; "
+            "docs/SCALING.md)"
         ),
     )
 
@@ -264,15 +264,20 @@ def _color_via_registry(
     The default ``--algorithm mw`` keeps the historical MW output path
     (with its degradation table) byte-identical; every other registry
     entry runs through :func:`repro.algorithms.run_coloring_algorithm`
-    and prints the arena's common summary row.
+    and prints the arena's common summary row.  The sparse resolver is
+    MW-only, so ``--resolver sparse`` is refused here.
     """
     from .algorithms import run_coloring_algorithm
 
+    if args.resolver != "dense":
+        raise ConfigurationError(
+            f"--resolver {args.resolver} only applies to --algorithm mw, "
+            f"not {args.algorithm!r}"
+        )
     try:
         outcome = run_coloring_algorithm(
             args.algorithm, deployment, params, seed=args.seed,
-            channel=args.channel, resolver=args.resolver,
-            telemetry=telemetry, faults=plan,
+            channel=args.channel, telemetry=telemetry, faults=plan,
         )
     except ConfigurationError:
         raise
@@ -426,7 +431,6 @@ def _run_orchestrated(args: argparse.Namespace) -> int:
         progress=lambda message: print(message, file=sys.stderr),
         install_sigint=True,
         faults=plan,
-        resolver=getattr(args, "resolver", None),
         algorithm=getattr(args, "algorithm", None),
     )
     if result.interrupted:
@@ -762,7 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=1, metavar="N",
         help="extra attempts per failed shard before recording the failure",
     )
-    _add_resolver_args(sweep_cmd)
     _add_algorithm_args(sweep_cmd)
     _add_faults_args(sweep_cmd)
     _add_telemetry_args(sweep_cmd)

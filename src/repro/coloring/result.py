@@ -67,10 +67,11 @@ class MWColoringResult:
 
     @property
     def palette_bound(self) -> int:
-        """Theorem 2's palette bound ``(phi(2R_T) + 1) * Delta`` plus the
-        leader color 0 and the per-cluster offset ``phi(2R_T)``."""
-        spacing = self.constants.state_spacing
-        return spacing * self.constants.delta + spacing
+        """Theorem 2's palette bound at the run's constants
+        (:func:`repro.analysis.theory.palette_bound`)."""
+        from ..analysis.theory import palette_bound
+
+        return palette_bound(self.constants.phi_2rt, self.constants.delta)
 
     @property
     def slots_to_complete(self) -> int:

@@ -37,15 +37,11 @@ __all__ = [
 ]
 
 
-def run_single(
-    seed: int, extent: float, n: int = DEFAULT_N, resolver: str | None = None
-) -> dict:
+def run_single(seed: int, extent: float, n: int = DEFAULT_N) -> dict:
     """One deployment at the given density; returns one table row."""
     require_int("n", n, minimum=1)
     deployment = uniform_deployment(n, extent, seed=seed)
-    result = run_mw_coloring(
-        deployment, seed=seed + 100, resolver=resolver or "dense"
-    )
+    result = run_mw_coloring(deployment, seed=seed + 100)
     return {
         "extent": extent,
         "seed": seed,
@@ -64,27 +60,18 @@ def units(
     seeds: Sequence[int] = (0, 1),
     extents: Sequence[float] = DEFAULT_EXTENTS,
     n: int = DEFAULT_N,
-    resolver: str | None = None,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order.
-
-    ``resolver=None`` (and only None) is dropped from the units, so the
-    unit list — and every config hash derived from it — is byte-identical
-    to pre-resolver releases for dense sweeps.
-    """
-    return grid_units(
-        "run_single", {"extent": extents}, seeds, n=n, resolver=resolver
-    )
+    """Shardable work units, in canonical ``run()`` row order."""
+    return grid_units("run_single", {"extent": extents}, seeds, n=n)
 
 
 def run(
     seeds: Sequence[int] = (0, 1),
     extents: Sequence[float] = DEFAULT_EXTENTS,
     n: int = DEFAULT_N,
-    resolver: str | None = None,
 ) -> list[dict]:
     """The full density sweep."""
-    return run_units(__name__, units(seeds, extents, n, resolver))
+    return run_units(__name__, units(seeds, extents, n))
 
 
 def check(rows: Sequence[dict]) -> None:

@@ -73,7 +73,6 @@ def run_single(
     n: int = DEFAULT_N,
     extent: float = DEFAULT_EXTENT,
     faults: Mapping | FaultPlan | None = None,
-    resolver: str | None = None,
 ) -> dict:
     """One algorithm on one deployment — one arena row.
 
@@ -90,7 +89,6 @@ def run_single(
         params,
         seed=seed + 500,
         faults=plan,
-        resolver=resolver if resolver is not None else "dense",
     )
     if outcome.completed:
         schedule = outcome.schedule()
@@ -124,7 +122,6 @@ def units(
     n: int = DEFAULT_N,
     extent: float = DEFAULT_EXTENT,
     faults: Mapping | None = None,
-    resolver: str | None = None,
 ) -> list[dict]:
     """Shardable work units, in canonical ``run()`` row order."""
     return grid_units(
@@ -134,7 +131,6 @@ def units(
         n=n,
         extent=extent,
         faults=faults,
-        resolver=resolver,
     )
 
 
@@ -144,12 +140,9 @@ def run(
     n: int = DEFAULT_N,
     extent: float = DEFAULT_EXTENT,
     faults: Mapping | None = None,
-    resolver: str | None = None,
 ) -> list[dict]:
     """The full algorithm x seed arena."""
-    return run_units(
-        __name__, units(seeds, algorithm, n, extent, faults, resolver)
-    )
+    return run_units(__name__, units(seeds, algorithm, n, extent, faults))
 
 
 def check(rows: Sequence[dict]) -> None:

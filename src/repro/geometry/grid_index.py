@@ -27,6 +27,12 @@ from .point import as_positions
 
 __all__ = ["GridIndex", "candidate_pairs", "unit_disk_csr"]
 
+#: Cells a hair wider than ``reach``: with side exactly ``reach``, rounding
+#: in ``x / side`` can put two points ``reach`` apart two cells apart (say
+#: ``x = -5e-18`` and ``x = 0.1`` at ``reach = 0.1``).  The slack outweighs
+#: that rounding for coordinates below ``2**30 * reach``.
+_CELL_SLACK = 1.0 + 2.0**-20
+
 
 class GridIndex:
     """Immutable uniform-grid index over a ``(n, 2)`` position array.
@@ -36,13 +42,17 @@ class GridIndex:
     positions:
         The point set, shape ``(n, 2)``.
     cell_size:
-        Side length of the square grid cells.  Choosing the typical query
-        radius gives the classic 3x3-cell neighbourhood scan.
+        Nominal side length of the square grid cells.  Choosing the
+        typical query radius gives the classic 3x3-cell neighbourhood
+        scan.  Cells are bucketed ``_CELL_SLACK`` wider, as in
+        :func:`candidate_pairs`, so a point exactly ``cell_size`` away
+        never lands two cells off.
     """
 
     def __init__(self, positions: np.ndarray, cell_size: float) -> None:
         self._positions = as_positions(positions)
         self._cell_size = require_positive("cell_size", cell_size)
+        self._side = self._cell_size * _CELL_SLACK
         cells: dict[tuple[int, int], list[int]] = defaultdict(list)
         for index, (x, y) in enumerate(self._positions):
             cells[self._cell_of(x, y)].append(index)
@@ -58,19 +68,19 @@ class GridIndex:
 
     @property
     def cell_size(self) -> float:
-        """Side length of the grid cells."""
+        """Nominal side length of the grid cells."""
         return self._cell_size
 
     def __len__(self) -> int:
         return len(self._positions)
 
     def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self._cell_size), math.floor(y / self._cell_size))
+        return (math.floor(x / self._side), math.floor(y / self._side))
 
     def _candidate_indices(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Indices in all grid cells intersecting the query disc."""
         cx, cy = float(center[0]), float(center[1])
-        reach = math.ceil(radius / self._cell_size)
+        reach = math.ceil(radius / self._side)
         base_i, base_j = self._cell_of(cx, cy)
         buckets = []
         for di in range(-reach, reach + 1):
@@ -118,13 +128,6 @@ class GridIndex:
         """Indices of points within ``radius`` of point ``index``, excluding itself."""
         found = self.query_disc(self._positions[index], radius)
         return found[found != index]
-
-
-#: Cells a hair wider than ``reach``: with side exactly ``reach``, rounding
-#: in ``x / side`` can put two points ``reach`` apart two cells apart (say
-#: ``x = -5e-18`` and ``x = 0.1`` at ``reach = 0.1``).  The slack outweighs
-#: that rounding for coordinates below ``2**30 * reach``.
-_CELL_SLACK = 1.0 + 2.0**-20
 
 
 def candidate_pairs(

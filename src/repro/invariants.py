@@ -137,7 +137,10 @@ def independence_violations(
     """Static Theorem 1 check of a finished (or partial) coloring.
 
     Every same-colored pair within ``radius`` is a violation (reported
-    with ``slot=-1`` — the static check has no time axis).  Nodes colored
+    with ``slot=-1`` — the static check has no time axis).  "Within" is
+    the unit-disk graph's rule (:func:`~repro.geometry.grid_index.
+    unit_disk_csr`: squared distance at most ``radius**2``), so a coloring
+    proper on the graph passes.  Nodes colored
     ``undecided`` (default: any negative color) are skipped: an undecided
     node belongs to no class yet, so it cannot break one.
     """
@@ -152,7 +155,7 @@ def independence_violations(
     members = np.flatnonzero(~skipped)
     i, j, sq = candidate_pairs(positions[members], radius)
     u, v, distance = members[i], members[j], np.sqrt(sq)
-    close = (colors[u] == colors[v]) & (distance <= radius)
+    close = (colors[u] == colors[v]) & (sq <= radius * radius)
     # Pairs come sorted by (u, v): a stable sort by color gives the
     # reporting order (color, then pair).
     order = np.argsort(colors[u[close]], kind="stable")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import ConfigurationError
-from .._validation import require_in, require_int
+from .._validation import require_int
 from ..faults.plan import FaultPlan
 from .plan import Shard, config_hash, plan_shards
 from .store import RunStore, STORE_SCHEMA
@@ -174,13 +174,12 @@ def plan_sweep(
     unit_kwargs: dict | None = None,
     module: str | None = None,
     faults: FaultPlan | dict | None = None,
-    resolver: str | None = None,
     algorithm: str | None = None,
 ) -> SweepPlan:
     """Resolve one sweep's canonical unit list and its config hash.
 
     Mirrors :func:`run_sharded`'s planning exactly — same registry
-    lookup, same fault-plan canonicalisation, same resolver folding —
+    lookup, same fault-plan canonicalisation, same algorithm folding —
     and is what :func:`run_sharded` itself calls, so a cache keyed on
     the returned ``config_hash`` can never disagree with the hash an
     actual execution stores under.
@@ -200,15 +199,6 @@ def plan_sweep(
         unit_kwargs = dict(unit_kwargs or {})
         unit_kwargs["faults"] = FaultPlan.coerce(faults).to_dict()
         require_keys = ("faults",)
-    if resolver is not None:
-        require_in("resolver", resolver, ("dense", "sparse"))
-    if resolver == "sparse":
-        # Sparse changes the rows, so it must reach every unit and the
-        # config hash; dense (or None) keeps the unit list — and hence
-        # the hash — identical to pre-resolver releases.
-        unit_kwargs = dict(unit_kwargs or {})
-        unit_kwargs["resolver"] = resolver
-        require_keys = require_keys + ("resolver",)
     if algorithm is not None:
         # The algorithm selector picks different work entirely, so it
         # must reach units() (registry-backed experiments expand it into
@@ -244,7 +234,6 @@ def run_sharded(
     install_sigint: bool = False,
     module: str | None = None,
     faults: FaultPlan | dict | None = None,
-    resolver: str | None = None,
     algorithm: str | None = None,
 ) -> SweepResult:
     """Run one experiment's sweep as parallel shards; see module docstring.
@@ -261,19 +250,9 @@ def run_sharded(
     — a resumed sweep with a different plan is a different run).  An
     experiment whose ``units()`` does not accept ``faults`` raises.
 
-    ``resolver`` selects the SINR interference backend for every unit
-    (``"sparse"`` is the grid-bucketed engine of ``docs/SCALING.md``).
-    It *changes the rows*, so ``"sparse"`` is folded into every unit and
-    therefore into the config hash — ``--resume`` treats dense and sparse
-    sweeps as distinct work.  ``None`` and
-    ``"dense"`` both mean the exact dense engine and leave the unit list
-    byte-identical to earlier releases, so existing dense stores keep
-    resuming.  An experiment whose ``units()`` does not accept
-    ``resolver`` raises rather than silently running dense.
-
     ``algorithm`` selects zoo entries for registry-backed experiments
     (EXP-14's ``--algorithm``: a name, a comma-separated subset, or
-    ``"all"``).  Like ``resolver`` it changes the rows, so it is folded
+    ``"all"``).  Like ``faults`` it changes the rows, so it is folded
     into every unit and the config hash; experiments whose ``units()``
     does not accept it raise.
 
@@ -292,7 +271,6 @@ def run_sharded(
         unit_kwargs=unit_kwargs,
         module=module,
         faults=faults,
-        resolver=resolver,
         algorithm=algorithm,
     )
     module = sweep_plan.module

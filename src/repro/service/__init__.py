@@ -4,7 +4,7 @@
 long-running REST service (stdlib only — no framework):
 
 * **Submission** — ``POST /v1/jobs`` with an experiment id plus optional
-  seeds/params/resolver/fault-plan; strict validation, then the job is
+  seeds/params/fault-plan; strict validation, then the job is
   keyed by the orchestration config hash.
 * **Content-addressed caching** — a job whose complete result already
   sits in the run store answers immediately (HTTP 200) without

@@ -154,7 +154,6 @@ class JobManager:
             spec.experiment,
             unit_kwargs=spec.unit_kwargs(),
             faults=spec.faults,
-            resolver=spec.resolver,
         )
         job_id = f"{spec.experiment}-{plan.config_hash}"
 
@@ -347,7 +346,6 @@ class JobManager:
                 retries=spec.retries,
                 progress=record.log,
                 faults=spec.faults,
-                resolver=spec.resolver,
             )
         except Exception as failure:
             record.state = _FAILED

@@ -105,11 +105,10 @@ def experiments(app: "ServiceApp", request: Request) -> Response:
                 "params": sorted(
                     name
                     for name in parameters
-                    if name not in ("seeds", "faults", "resolver")
+                    if name not in ("seeds", "faults")
                 ),
                 "has_seeds": "seeds" in parameters,
                 "accepts_faults": "faults" in parameters,
-                "accepts_resolver": "resolver" in parameters,
             }
         )
     return Response(body=_envelope(experiments=listing))

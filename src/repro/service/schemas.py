@@ -6,7 +6,6 @@ A job submission is a JSON object::
       "experiment": "exp1",          // required, a REGISTRY id
       "seeds": 3,                    // optional, seeds 0..seeds-1
       "params": {"n": 50},           // optional units() kwarg overrides
-      "resolver": "sparse",          // optional, "dense" | "sparse"
       "faults": { ... },             // optional repro.faults/1 plan body
       "shard_size": 1,               // optional execution knobs —
       "timeout_s": 30.0,             //   *not* part of the cache key
@@ -26,8 +25,8 @@ like any other override and — because the selector becomes a unit axis
 — lands in the ``config_hash`` exactly as the CLI's ``--algorithm``
 flag does.  Distinct selectors are distinct cache entries.
 
-The split between *work* fields (experiment, seeds, params, resolver,
-faults — everything that reaches ``units()`` and therefore the
+The split between *work* fields (experiment, seeds, params, faults —
+everything that reaches ``units()`` and therefore the
 ``config_hash``) and *execution* fields (shard size, timeout, retries)
 is what makes the result cache content-addressed: two specs that
 describe the same rows share a cache entry no matter how they asked for
@@ -46,13 +45,12 @@ from ..faults.plan import FaultPlan
 __all__ = ["JobSpec", "job_spec_from_payload"]
 
 #: Keys a submission may carry; anything else is a 400 (catches typos
-#: like "resolvr" that would otherwise silently change the work).
+#: like "fualts" that would otherwise silently change the work).
 _ALLOWED_KEYS = frozenset(
     {
         "experiment",
         "seeds",
         "params",
-        "resolver",
         "faults",
         "shard_size",
         "timeout_s",
@@ -62,7 +60,7 @@ _ALLOWED_KEYS = frozenset(
 
 #: ``params`` keys that must come through their dedicated top-level
 #: field instead, so the cache-key canonicalisation has one spelling.
-_RESERVED_PARAMS = ("seeds", "faults", "resolver")
+_RESERVED_PARAMS = ("seeds", "faults")
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class JobSpec:
     experiment: str
     seeds: int | None = None
     params: dict = field(default_factory=dict)
-    resolver: str | None = None
     faults: dict | None = None
     shard_size: int = 1
     timeout_s: float | None = None
@@ -98,8 +95,6 @@ class JobSpec:
             payload["seeds"] = self.seeds
         if self.params:
             payload["params"] = dict(self.params)
-        if self.resolver is not None:
-            payload["resolver"] = self.resolver
         if self.faults is not None:
             payload["faults"] = self.faults
         payload["shard_size"] = self.shard_size
@@ -191,17 +186,6 @@ def job_spec_from_payload(payload: Any) -> JobSpec:
                 f"{key!r}; accepted: {accepted}"
             )
 
-    resolver = payload.get("resolver")
-    if resolver is not None and resolver not in ("dense", "sparse"):
-        raise _bad(
-            f"'resolver' must be 'dense' or 'sparse', got {resolver!r}"
-        )
-    if resolver == "sparse" and "resolver" not in parameters:
-        raise _bad(
-            f"experiment {experiment!r} does not support resolver "
-            "selection; omit 'resolver'"
-        )
-
     faults = payload.get("faults")
     if faults is not None:
         _require_type("faults", faults, dict, "a JSON object (repro.faults/1)")
@@ -235,7 +219,6 @@ def job_spec_from_payload(payload: Any) -> JobSpec:
         experiment=experiment,
         seeds=seeds,
         params=dict(params),
-        resolver=resolver,
         faults=faults,
         shard_size=shard_size,
         timeout_s=timeout_s,

@@ -303,9 +303,7 @@ class SINRChannel(Channel):
     :class:`~repro.sinr.sparse.SparseResolutionEngine`: exact gain terms
     inside the ``R_I`` disc plus a certified conservative bound for the
     far field, O(n * deg) instead of O(n^2) — its delivery set is a
-    subset of the dense one (see ``docs/SCALING.md``).  ``far_field``
-    and ``interference_range`` tune the sparse backend and are rejected
-    with the dense one, which has no such notions.
+    subset of the dense one (see ``docs/SCALING.md``).
     """
 
     def __init__(
@@ -315,8 +313,6 @@ class SINRChannel(Channel):
         half_duplex: bool = True,
         cache_slots: int = 0,
         resolver: str = "dense",
-        far_field: bool = True,
-        interference_range: float | None = None,
     ) -> None:
         super().__init__(positions, half_duplex)
         require_in("resolver", resolver, ("dense", "sparse"))
@@ -325,16 +321,7 @@ class SINRChannel(Channel):
         self._sparse: SparseResolutionEngine | None = None
         if resolver == "sparse":
             self._sparse = SparseResolutionEngine(
-                self._positions,
-                params,
-                half_duplex=half_duplex,
-                far_field=far_field,
-                interference_range=interference_range,
-            )
-        elif not far_field or interference_range is not None:
-            raise ConfigurationError(
-                "far_field/interference_range only apply to resolver='sparse'; "
-                "the dense resolver computes every pair exactly"
+                self._positions, params, half_duplex=half_duplex
             )
         self._engine = ResolutionEngine(self._positions, cache_slots=cache_slots)
         floor = self._near_field_floor()

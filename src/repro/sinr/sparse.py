@@ -117,9 +117,8 @@ class SparseResolutionEngine:
     ) -> dict[tuple[int, int], np.ndarray]:
         """All node indices grouped by grid cell, vectorised.
 
-        ``floor(x / cell)`` matches :class:`~repro.geometry.grid_index.
-        GridIndex` exactly, so a node sitting on a cell boundary lands in
-        the same (higher-coordinate) cell under both structures.
+        Cells are ``floor(x / cell)``, so a node sitting on a cell
+        boundary lands in the higher-coordinate cell.
         """
         grid = np.floor(positions / cell).astype(np.int64)
         order = np.lexsort((grid[:, 1], grid[:, 0]))

@@ -2,14 +2,14 @@
 
 Each registered algorithm must be bit-identical across (a) repeated
 runs of the same task, (b) telemetry attached vs. absent — metrics are
-strictly read-only over a run, (c) the dense vs. the sparse SINR
-resolver in the all-near regime where the two engines are exactly
-equal (the idiom of tests/coloring/test_runner.py), and (d) the
-serial experiment runner vs. ``repro sweep --jobs 2`` sharding of the
-same arena grid.
+strictly read-only over a run, and (c) the serial experiment runner vs.
+``repro sweep --jobs 2`` sharding of the same arena grid.
 
-Algorithms come from the registry, so a new entry inherits all four
-contracts by registering.
+Algorithms come from the registry, so a new entry inherits all three
+contracts by registering.  MW, the one entry with a sparse SINR path
+(``run_mw_coloring(resolver="sparse")``), must also match the dense
+resolver bit for bit in the all-near regime where the two engines are
+exactly equal (the idiom of tests/coloring/test_runner.py).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.algorithms import (
     all_algorithms,
     run_coloring_algorithm,
 )
+from repro.coloring.runner import run_mw_coloring
 from repro.experiments import exp14_arena as exp14
 from repro.geometry.deployment import uniform_deployment
 from repro.orchestration import merged_rows, run_sharded
@@ -122,28 +123,39 @@ class TestTelemetryTransparency:
         assert artifact.summary["n"] == outcome.n == 40
 
 
-class TestResolverParity:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_sparse_equals_dense_when_all_near(self, algorithm):
-        deployment = uniform_deployment(**ALL_NEAR)
-        dense = run_coloring_algorithm(
-            algorithm, deployment, PARAMS, seed=7, resolver="dense"
-        )
-        sparse = run_coloring_algorithm(
-            algorithm, deployment, PARAMS, seed=7, resolver="sparse"
-        )
-        assert fingerprint(dense) == fingerprint(sparse)
+def mw_fingerprint(result) -> tuple:
+    return (
+        result.coloring.colors.tolist(),
+        result.decision_slots.tolist(),
+        result.leaders.tolist(),
+        result.palette_bound,
+        result.stats.completed,
+        result.slots_to_complete,
+    )
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_sparse_repeats_bit_identical(self, algorithm):
+
+class TestResolverParity:
+    def test_sparse_equals_dense_when_all_near(self):
+        deployment = uniform_deployment(**ALL_NEAR)
+        dense = run_mw_coloring(deployment, PARAMS, seed=7, resolver="dense")
+        sparse = run_mw_coloring(deployment, PARAMS, seed=7, resolver="sparse")
+        assert mw_fingerprint(dense) == mw_fingerprint(sparse)
+
+    def test_sparse_repeats_bit_identical(self):
         deployment = corpus_deployment(6)
         runs = [
-            run_coloring_algorithm(
-                algorithm, deployment, PARAMS, seed=6, resolver="sparse"
-            )
+            run_mw_coloring(deployment, PARAMS, seed=6, resolver="sparse")
             for _ in range(2)
         ]
-        assert fingerprint(runs[0]) == fingerprint(runs[1])
+        assert mw_fingerprint(runs[0]) == mw_fingerprint(runs[1])
+
+    def test_mw_entry_is_the_dense_run(self):
+        """The arena's ``mw`` row comes from the dense runner it wraps."""
+        deployment = uniform_deployment(**ALL_NEAR)
+        entry = run_coloring_algorithm("mw", deployment, PARAMS, seed=7)
+        dense = run_mw_coloring(deployment, PARAMS, seed=7)
+        assert entry.decision_slots.tolist() == dense.decision_slots.tolist()
+        assert entry.palette_bound == dense.palette_bound
 
 
 class TestSerialVsShardedSweep:

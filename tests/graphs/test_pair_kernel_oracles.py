@@ -60,7 +60,7 @@ def oracle_violating_pairs(positions, members, radius):
 
 
 def oracle_independence_violations(positions, radius, colors, undecided=None):
-    """The k×k-per-class static check."""
+    """The k×k-per-class static check, keeping pairs by the graph's rule."""
     colors = np.asarray(colors, dtype=np.int64)
     violations = []
     by_color = defaultdict(list)
@@ -74,15 +74,15 @@ def oracle_independence_violations(positions, radius, colors, undecided=None):
             continue
         pts = positions[members]
         diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        close = np.triu(dist <= radius, k=1)
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        close = np.triu(sq <= radius * radius, k=1)
         for i, j in zip(*np.nonzero(close)):
             violations.append(
                 IndependenceViolation(
                     slot=-1,
                     color_index=color,
                     pair=(members[int(i)], members[int(j)]),
-                    distance=float(dist[i, j]),
+                    distance=float(np.sqrt(sq[i, j])),
                 )
             )
     return violations
@@ -201,10 +201,42 @@ def test_undecided_skips_only_its_own_value():
 
 def test_pair_across_zero_at_exactly_the_radius():
     # x / 0.1 rounds the two points into cells -1 and 1: a plain grid of
-    # side 0.1 never compares them, although they are 0.1 apart.
+    # side 0.1 would never compare them, although they are 0.1 apart.
     positions = np.array([[-5e-18, 0.0], [0.1, 0.0]])
-    assert GridIndex(positions, cell_size=0.1).neighbors_within(0, 0.1).size == 0
+    index = GridIndex(positions, cell_size=0.1)
+    assert index.neighbors_within(0, 0.1).tolist() == [1]
+    assert index.neighbors_within(1, 0.1).tolist() == [0]
     i, j, sq = candidate_pairs(positions, 0.1)
     assert (i.tolist(), j.tolist()) == ([0], [1]) and sq[0] <= 0.1 * 0.1
     assert UnitDiskGraph(positions, 0.1).edge_count == 1
     assert len(independence_violations(positions, 0.1, [0, 0])) == 1
+
+
+def test_static_check_keeps_the_graphs_rule():
+    # sqrt(sq) rounds down to exactly 1.0 while sq itself exceeds 1.0:
+    # the graph has no edge here, so one color is a proper coloring.
+    positions = np.array(
+        [
+            [-1.7792685559431023, -1.426119957348903],
+            [-1.7769772522369491, -2.4261173323091207],
+        ]
+    )
+    i, j, sq = candidate_pairs(positions, 1.0)
+    assert sq[0] > 1.0 and np.sqrt(sq[0]) <= 1.0
+    assert UnitDiskGraph(positions, 1.0).degrees.tolist() == [0, 0]
+    assert independence_violations(positions, 1.0, [0, 0]) == []
+    assert Coloring(np.array([0, 0])).conflicts(positions, 1.0) == []
+
+
+def test_greedy_run_on_the_boundary_pair_is_proper():
+    from repro.algorithms import run_coloring_algorithm
+
+    positions = np.array(
+        [
+            [-1.7792685559431023, -1.426119957348903],
+            [-1.7769772522369491, -2.4261173323091207],
+        ]
+    )
+    outcome = run_coloring_algorithm("greedy", positions)
+    assert outcome.colors.tolist() == [0, 0]
+    assert outcome.is_proper() and outcome.clean

@@ -219,56 +219,38 @@ class TestAllExperimentsShardable:
             )
 
 
-class TestResolverConfigHash:
-    """--resume must treat dense and sparse sweeps as distinct work."""
+class TestConfigHashPins:
+    """Dense sweep hashes are pinned: a drift orphans every stored sweep."""
 
-    def test_sparse_changes_the_config_hash(self):
+    @pytest.mark.parametrize(
+        "experiment, kwargs, expected",
+        [
+            ("exp1", {}, "7107bbc9c6a9fb1b"),
+            ("exp14", {}, "59e289547afd3ac5"),
+            ("exp14", {"algorithm": "mw", "seeds": range(3)}, "67a2ccaccc18d408"),
+        ],
+    )
+    def test_plan_hash_is_pinned(self, experiment, kwargs, expected):
+        from repro.orchestration import plan_sweep
+
+        algorithm = kwargs.get("algorithm")
+        seeds = kwargs.get("seeds", range(2))
+        plan = plan_sweep(
+            experiment, unit_kwargs={"seeds": seeds}, algorithm=algorithm
+        )
+        assert plan.config_hash == expected
+
+    def test_sweeps_take_no_resolver(self):
+        """The sparse resolver only pays off far above sweep sizes, so
+        the planner, the executor and the experiments refuse it."""
         from repro.experiments import exp01_colors_vs_delta as exp1
-        from repro.orchestration import config_hash
-        from repro.orchestration.store import STORE_SCHEMA
+        from repro.experiments import exp14_arena as exp14
+        from repro.orchestration import plan_sweep
 
-        dense = config_hash("exp1", exp1.units(seeds=(0,)), STORE_SCHEMA)
-        sparse = config_hash(
-            "exp1", exp1.units(seeds=(0,), resolver="sparse"), STORE_SCHEMA
-        )
-        assert dense != sparse
-
-    def test_dense_units_unchanged_by_resolver_plumbing(self):
-        """resolver=None must be dropped from the units entirely, so every
-        pre-resolver dense store keeps resuming under its old hash."""
-        from repro.experiments import exp01_colors_vs_delta as exp1
-
-        plain = exp1.units(seeds=(0, 1))
-        explicit_none = exp1.units(seeds=(0, 1), resolver=None)
-        assert plain == explicit_none
-        for work in plain:
-            assert "resolver" not in work["kwargs"]
-
-    def test_run_sharded_folds_sparse_into_hash(self):
-        dense = run_sharded(
-            "exp1", jobs=1,
-            unit_kwargs={"seeds": [0], "extents": [4.0], "n": 20},
-        )
-        explicit_dense = run_sharded(
-            "exp1", jobs=1, resolver="dense",
-            unit_kwargs={"seeds": [0], "extents": [4.0], "n": 20},
-        )
-        sparse = run_sharded(
-            "exp1", jobs=1, resolver="sparse",
-            unit_kwargs={"seeds": [0], "extents": [4.0], "n": 20},
-        )
-        assert dense.complete and sparse.complete
-        assert dense.config_hash == explicit_dense.config_hash
-        assert dense.config_hash != sparse.config_hash
-        # extent 4.0 at n=20 keeps every pair near: identical rows
-        assert _rows_json(merged_rows(dense)) == _rows_json(merged_rows(sparse))
-
-    def test_invalid_resolver_rejected(self):
-        with pytest.raises(ConfigurationError, match="resolver"):
-            run_sharded("exp1", jobs=1, resolver="banded")
-
-    def test_experiment_without_resolver_support_raises(self):
-        """Silently running dense when sparse was requested would poison
-        the store; exp10's units() takes no resolver, so it must refuse."""
-        with pytest.raises(ConfigurationError, match="resolver"):
-            run_sharded("exp10", jobs=1, resolver="sparse")
+        with pytest.raises(TypeError, match="resolver"):
+            run_sharded("exp1", jobs=1, resolver="sparse")
+        with pytest.raises(TypeError, match="resolver"):
+            plan_sweep("exp1", resolver="sparse")
+        for module in (exp1, exp14):
+            with pytest.raises(TypeError, match="resolver"):
+                module.units(seeds=(0,), resolver="sparse")

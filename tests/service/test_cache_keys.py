@@ -1,4 +1,4 @@
-"""Cache keys cannot collide across resolver and fault-plan variants.
+"""Cache keys cannot collide across fault-plan and algorithm variants.
 
 The service's whole caching story rests on one property: specs that
 describe *different rows* hash to different config hashes (distinct
@@ -14,6 +14,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, MessageFaults
 from repro.orchestration import RunStore, plan_sweep
+from repro.service.schemas import job_spec_from_payload
 
 FAKE = "tests.orchestration.fake_exp"
 
@@ -22,16 +23,40 @@ def plan_for(**kwargs):
     return plan_sweep("exp1", unit_kwargs={"seeds": range(2)}, **kwargs)
 
 
-class TestResolverAxis:
-    def test_sparse_and_dense_are_distinct_entries(self):
-        dense = plan_for()
-        sparse = plan_for(resolver="sparse")
-        assert dense.config_hash != sparse.config_hash
+class TestJobIdPins:
+    """Job ids are pinned: a drift re-runs every cached job."""
 
-    def test_dense_aliases_the_default(self):
-        # "dense" and None mean the same engine and must share the
-        # pre-resolver hash, so existing dense stores keep resuming
-        assert plan_for().config_hash == plan_for(resolver="dense").config_hash
+    @pytest.mark.parametrize(
+        "payload, job_id",
+        [
+            ({"experiment": "exp1"}, "exp1-7107bbc9c6a9fb1b"),
+            ({"experiment": "exp14"}, "exp14-59e289547afd3ac5"),
+            (
+                {
+                    "experiment": "exp13",
+                    "seeds": 3,
+                    "faults": FaultPlan(
+                        messages=MessageFaults(drop=0.2)
+                    ).to_dict(),
+                },
+                "exp13-8cc3f6c22333c2be",
+            ),
+            (
+                {
+                    "experiment": "exp14",
+                    "seeds": 1,
+                    "params": {"algorithm": "greedy", "n": 12, "extent": 2.4},
+                },
+                "exp14-886c6907349a4260",
+            ),
+        ],
+    )
+    def test_job_id_is_pinned(self, payload, job_id):
+        spec = job_spec_from_payload(payload)
+        plan = plan_sweep(
+            spec.experiment, unit_kwargs=spec.unit_kwargs(), faults=spec.faults
+        )
+        assert f"{plan.experiment}-{plan.config_hash}" == job_id
 
 
 class TestFaultAxis:
@@ -92,17 +117,19 @@ class TestAlgorithmAxis:
 
 
 class TestCrossVariantSeparation:
-    def test_dense_no_faults_vs_sparse_with_plan_store_apart(self, tmp_path):
+    def test_clean_vs_faulted_store_apart(self, tmp_path):
         # the headline regression: the two ends of the spec space land
         # in different store directories and different job ids
-        dense = plan_for()
-        sparse = plan_for(resolver="sparse")
+        clean = plan_sweep("exp13")
+        faulted = plan_sweep(
+            "exp13", faults=FaultPlan(messages=MessageFaults(drop=0.2))
+        )
         store = RunStore(tmp_path)
         dirs = {
-            store.run_dir(p.experiment, p.config_hash) for p in (dense, sparse)
+            store.run_dir(p.experiment, p.config_hash) for p in (clean, faulted)
         }
         assert len(dirs) == 2
-        job_ids = {f"{p.experiment}-{p.config_hash}" for p in (dense, sparse)}
+        job_ids = {f"{p.experiment}-{p.config_hash}" for p in (clean, faulted)}
         assert len(job_ids) == 2
 
     def test_seed_count_is_part_of_the_key(self):

@@ -90,7 +90,7 @@ class TestDiscovery:
         assert status == 200
         listed = {entry["id"]: entry for entry in body["experiments"]}
         assert listed["exp1"]["has_seeds"]
-        assert listed["exp1"]["accepts_resolver"]
+        assert all("accepts_resolver" not in entry for entry in listed.values())
         assert not listed["exp10"]["has_seeds"]
         assert listed["exp13"]["accepts_faults"]
 
@@ -183,6 +183,12 @@ class TestErrorMapping:
             service["base"], "/v1/jobs", {"experiment": "no-such"}
         )
         assert status == 400 and "experiment" in body["error"]
+
+    def test_resolver_field_400(self, service):
+        status, body = post(
+            service["base"], "/v1/jobs", {"experiment": "exp1", "resolver": "dense"}
+        )
+        assert status == 400 and "['resolver']" in body["error"]
 
     def test_result_before_done_409(self, service):
         base = service["base"]

@@ -56,12 +56,6 @@ class TestAccept:
         assert echoed["experiment"] == "exp13"
         assert echoed["faults"] == faults
 
-    def test_resolver_accepted_where_supported(self):
-        spec = job_spec_from_payload(
-            {"experiment": "exp1", "resolver": "sparse"}
-        )
-        assert spec.resolver == "sparse"
-
     def test_algorithm_selector_rides_params_for_the_arena(self):
         # Registry-backed experiments need no schema extension: exp14's
         # units() takes the selector, so it validates like any override.
@@ -85,6 +79,16 @@ class TestReject:
     def test_unknown_fields_name_the_offender(self):
         reject({"experiment": "exp1", "resolvr": "sparse"}, "resolvr")
 
+    def test_resolver_is_an_unknown_field(self):
+        # sweeps run on the dense engine only; even an old explicit
+        # "dense" payload is refused, naming the field
+        for value in ("dense", "sparse"):
+            reject(
+                {"experiment": "exp1", "resolver": value},
+                r"unknown field\(s\) \['resolver'\]",
+            )
+        assert "resolver" not in JobSpec.__dataclass_fields__
+
     def test_batch_is_an_unknown_field(self):
         # the batched engine is gone, and so is its execution knob
         reject({"experiment": "exp1", "batch": True}, r"unknown field\(s\) \['batch'\]")
@@ -107,19 +111,16 @@ class TestReject:
         )
 
     def test_reserved_params_must_use_top_level_fields(self):
-        for key in ("seeds", "faults", "resolver"):
+        for key in ("seeds", "faults"):
             reject(
                 {"experiment": "exp1", "params": {key: 1}},
                 "top-level",
             )
 
-    def test_bad_resolver_values(self):
-        reject({"experiment": "exp1", "resolver": "cuda"}, "dense")
-
-    def test_sparse_resolver_rejected_where_unsupported(self):
+    def test_resolver_param_is_unknown_too(self):
         reject(
-            {"experiment": "exp10", "resolver": "sparse"},
-            "does not support resolver",
+            {"experiment": "exp1", "params": {"resolver": "sparse"}},
+            "does not accept param 'resolver'",
         )
 
     def test_faults_rejected_where_unsupported(self):

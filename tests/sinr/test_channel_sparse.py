@@ -47,12 +47,27 @@ from .test_channel_reference import PARAMS, SCENARIO_SEEDS, as_set, random_scena
 TRUNCATED_RANGE = 2.0
 
 
-def dense_and_sparse(positions, half_duplex, **sparse_kwargs):
+def dense_and_sparse(positions, half_duplex):
     dense = SINRChannel(positions, PARAMS, half_duplex=half_duplex)
-    sparse = SINRChannel(
-        positions, PARAMS, half_duplex=half_duplex, resolver="sparse", **sparse_kwargs
-    )
+    sparse = SINRChannel(positions, PARAMS, half_duplex=half_duplex, resolver="sparse")
     return dense, sparse
+
+
+def dense_and_engine(positions, transmissions, half_duplex, **engine_kwargs):
+    """Dense and sparse delivery sets, the sparse one from an engine built
+    directly with the tuning knobs (``far_field``, ``interference_range``)
+    that only the engine exposes."""
+    dense = SINRChannel(positions, PARAMS, half_duplex=half_duplex)
+    engine = SparseResolutionEngine(
+        positions, PARAMS, half_duplex=half_duplex, **engine_kwargs
+    )
+    senders = np.array([t.sender for t in transmissions], dtype=np.intp)
+    receiving, best = engine.reception(senders)
+    sparse = {
+        (int(u), transmissions[best[u]].sender, transmissions[best[u]].payload)
+        for u in np.flatnonzero(receiving)
+    }
+    return as_set(dense.resolve(transmissions)), sparse
 
 
 # -- containment: sparse ⊆ dense ----------------------------------------------
@@ -61,11 +76,9 @@ def dense_and_sparse(positions, half_duplex, **sparse_kwargs):
 @pytest.mark.parametrize("seed", SCENARIO_SEEDS)
 def test_sparse_deliveries_subset_of_dense(seed):
     positions, transmissions, half_duplex = random_scenario(seed)
-    dense, sparse = dense_and_sparse(
-        positions, half_duplex, interference_range=TRUNCATED_RANGE
+    dense_set, sparse_set = dense_and_engine(
+        positions, transmissions, half_duplex, interference_range=TRUNCATED_RANGE
     )
-    sparse_set = as_set(sparse.resolve(transmissions))
-    dense_set = as_set(dense.resolve(transmissions))
     assert sparse_set <= dense_set
 
 
@@ -76,10 +89,10 @@ def test_truncated_corpus_produces_strict_subsets():
     strict = 0
     for seed in SCENARIO_SEEDS:
         positions, transmissions, half_duplex = random_scenario(seed)
-        dense, sparse = dense_and_sparse(
-            positions, half_duplex, interference_range=TRUNCATED_RANGE
+        dense_set, sparse_set = dense_and_engine(
+            positions, transmissions, half_duplex, interference_range=TRUNCATED_RANGE
         )
-        if as_set(sparse.resolve(transmissions)) < as_set(dense.resolve(transmissions)):
+        if sparse_set < dense_set:
             strict += 1
     assert strict > 0
 
@@ -92,10 +105,10 @@ def test_sparse_exact_parity_with_far_field_disabled(seed):
     """With the far term off and every pair near (extent <= 8 << R_I), the
     sparse path runs the dense decision on the same clamped distances."""
     positions, transmissions, half_duplex = random_scenario(seed)
-    dense, sparse = dense_and_sparse(positions, half_duplex, far_field=False)
-    assert as_set(sparse.resolve(transmissions)) == as_set(
-        dense.resolve(transmissions)
+    dense_set, sparse_set = dense_and_engine(
+        positions, transmissions, half_duplex, far_field=False
     )
+    assert sparse_set == dense_set
 
 
 @pytest.mark.parametrize("seed", SCENARIO_SEEDS)
@@ -192,12 +205,12 @@ class TestGridBucketing:
 
 
 class TestResolverConfiguration:
-    def test_dense_rejects_sparse_only_knobs(self):
+    def test_channel_has_no_sparse_tuning_knobs(self):
+        """Tuning lives on the engine; the channel only picks a backend."""
         positions = np.zeros((2, 2))
-        with pytest.raises(ConfigurationError):
-            SINRChannel(positions, PARAMS, far_field=False)
-        with pytest.raises(ConfigurationError):
-            SINRChannel(positions, PARAMS, interference_range=2.0)
+        for knob in ({"far_field": False}, {"interference_range": 2.0}):
+            with pytest.raises(TypeError):
+                SINRChannel(positions, PARAMS, resolver="sparse", **knob)
 
     def test_unknown_resolver_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -207,11 +220,8 @@ class TestResolverConfiguration:
         """A truncation radius below R_T could cut off a decodable sender,
         voiding the subset guarantee — must be refused loudly."""
         with pytest.raises(ConfigurationError):
-            SINRChannel(
-                np.zeros((2, 2)),
-                PARAMS,
-                resolver="sparse",
-                interference_range=0.5 * PARAMS.r_t,
+            SparseResolutionEngine(
+                np.zeros((2, 2)), PARAMS, interference_range=0.5 * PARAMS.r_t
             )
 
     def test_resolver_property_reports_backend(self):
@@ -226,11 +236,10 @@ class TestResolverConfiguration:
 
     def test_sparse_work_counter_advances(self):
         positions = np.random.default_rng(3).uniform(0, 4, size=(20, 2))
-        sparse = SINRChannel(
-            positions, PARAMS, resolver="sparse", interference_range=TRUNCATED_RANGE
+        engine = SparseResolutionEngine(
+            positions, PARAMS, interference_range=TRUNCATED_RANGE
         )
-        sparse.resolve([Transmission(0, "x"), Transmission(5, "y")])
-        engine = sparse.sparse_engine
+        engine.reception(np.array([0, 5], dtype=np.intp))
         assert engine.pair_evals > 0
         assert engine.near_pairs <= engine.pair_evals
 
@@ -269,9 +278,7 @@ def sparse_scenario(draw):
 def test_sparse_subset_property(scenario):
     positions, senders, half_duplex = scenario
     transmissions = [Transmission(s, ("p", s)) for s in senders]
-    dense, sparse = dense_and_sparse(
-        positions, half_duplex, interference_range=TRUNCATED_RANGE
+    dense_set, sparse_set = dense_and_engine(
+        positions, transmissions, half_duplex, interference_range=TRUNCATED_RANGE
     )
-    assert as_set(sparse.resolve(transmissions)) <= as_set(
-        dense.resolve(transmissions)
-    )
+    assert sparse_set <= dense_set

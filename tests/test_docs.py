@@ -27,3 +27,18 @@ def test_expected_docs_exist():
         "docs/MODEL.md",
     ):
         assert (REPO_ROOT / name).exists(), f"missing {name}"
+
+
+def test_scaling_table_matches_the_committed_bench():
+    """docs/SCALING.md's dense-or-sparse table is the one
+    ``bench_sparse.py --table`` renders from ``BENCH_sparse.json``."""
+    import importlib.util
+    import json
+
+    path = REPO_ROOT / "benchmarks" / "perf" / "bench_sparse.py"
+    spec = importlib.util.spec_from_file_location("bench_sparse", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    report = json.loads(bench.OUT.read_text())
+    scaling = (REPO_ROOT / "docs" / "SCALING.md").read_text()
+    assert bench.markdown_table(report) in scaling
