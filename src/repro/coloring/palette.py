@@ -14,11 +14,12 @@ Two implementations are provided:
   reference the simulated variant is checked against.
 * :func:`reduce_palette_simulated` — the announcements physically broadcast
   over an :class:`~repro.sinr.channel.SINRChannel`, one slot per input
-  color.  With an input coloring valid at the Theorem 3 distance, every
-  announcement reaches every neighbor and the output equals the logical
-  procedure; with an insufficient input distance the report records the
-  lost announcements (which is exactly the failure mode Theorem 3 rules
-  out).
+  color of the input coloring's TDMA frame
+  (:func:`~repro.mac.tdma.play_frame`).  With an input coloring valid at
+  the Theorem 3 distance, every announcement reaches every neighbor and
+  the output equals the logical procedure; with an insufficient input
+  distance the report records the lost announcements (which is exactly
+  the failure mode Theorem 3 rules out).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 from ..errors import ColoringError
 from ..graphs.coloring import Coloring
 from ..graphs.udg import UnitDiskGraph
-from ..sinr.channel import SINRChannel, Transmission
+from ..mac.tdma import TDMASchedule, play_frame
+from ..sinr.channel import SINRChannel
 from ..sinr.params import PhysicalParams
 
 __all__ = ["PaletteReductionReport", "reduce_palette", "reduce_palette_simulated"]
@@ -113,35 +115,27 @@ def reduce_palette_simulated(
             f"coloring covers {len(coloring)} nodes, graph has {graph.n}"
         )
     coloring.validate(graph.positions, graph.radius, d=1.0)
-    channel = SINRChannel(graph.positions, params)
-    heard: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    # Each neighbour announces once, so a node's decoded announcements
+    # are just the colors it has heard taken.
+    heard: list[set[int]] = [set() for _ in range(graph.n)]
     new_colors = np.full(graph.n, -1, dtype=np.int64)
-    announcements = 0
-    lost = 0
-    palette_order = sorted(set(int(c) for c in coloring.colors))
-    for old_color in palette_order:
-        members = np.flatnonzero(coloring.colors == old_color)
-        transmissions = []
-        for node in members:
-            node = int(node)
-            taken = set(heard[node].values())
-            chosen = _smallest_free(taken, graph.degree(node))
-            new_colors[node] = chosen
-            transmissions.append(Transmission(sender=node, payload=(node, chosen)))
-        deliveries = channel.resolve(transmissions)
-        delivered_pairs = {(d.sender, d.receiver) for d in deliveries}
-        for delivery in deliveries:
-            announcer, color = delivery.payload
-            heard[delivery.receiver][announcer] = color
-        for node in members:
-            node = int(node)
-            for neighbor in graph.neighbors(node):
-                announcements += 1
-                if (node, int(neighbor)) not in delivered_pairs:
-                    lost += 1
+    if graph.n == 0:
+        return PaletteReductionReport(Coloring(new_colors), 0, 0, 0)
+
+    def announce(node: int) -> int:
+        chosen = _smallest_free(heard[node], graph.degree(node))
+        new_colors[node] = chosen
+        return chosen
+
+    def hear(receiver: int, announcer: int, color: int) -> None:
+        heard[receiver].add(color)
+
+    schedule = TDMASchedule(coloring)
+    channel = SINRChannel(graph.positions, params)
+    tally = play_frame(schedule, channel, announce, graph.neighbors, hear)
     return PaletteReductionReport(
         coloring=Coloring(new_colors),
-        slots_used=len(palette_order),
-        announcements=announcements,
-        lost=lost,
+        slots_used=schedule.frame_length,
+        announcements=tally.expected,
+        lost=tally.lost,
     )

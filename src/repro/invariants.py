@@ -35,7 +35,7 @@ from ._validation import require_positive
 from .errors import ScheduleError
 from .geometry.grid_index import candidate_pairs
 from .geometry.point import as_positions
-from .sinr.channel import SINRChannel, Transmission
+from .sinr.channel import SINRChannel
 from .sinr.params import PhysicalParams
 
 if TYPE_CHECKING:
@@ -103,17 +103,21 @@ class IndependenceAuditor:
     def on_decision(self, slot: int, node: int, color: int) -> None:
         """Decision hook: audit ``node`` joining class ``color`` at ``slot``."""
         self.decisions_audited += 1
-        px, py = self.positions[node]
+        px, py = self.positions[node].tolist()
+        # The unit-disk graph's rule (squared distance at most radius**2),
+        # so the live audit and the static check agree on every pair.
+        reach_sq = self.radius * self.radius
         for member in self._members[color]:
-            qx, qy = self.positions[member]
-            dist = math.hypot(px - qx, py - qy)
-            if dist <= self.radius:
+            qx, qy = self.positions[member].tolist()
+            dx, dy = px - qx, py - qy
+            sq = dx * dx + dy * dy
+            if sq <= reach_sq:
                 self.violations.append(
                     IndependenceViolation(
                         slot=slot,
                         color_index=color,
                         pair=(min(node, member), max(node, member)),
-                        distance=dist,
+                        distance=math.sqrt(sq),
                     )
                 )
         self._members[color].append(node)
@@ -245,38 +249,22 @@ def verify_tdma_broadcast(
     graph, whether the neighbor decoded the sender.  ``graph`` must be
     the radius-``R_T`` communication graph of ``params``.
     """
+    # Imported here: repro.mac imports this module.
+    from .mac.tdma import play_frame
+
     if schedule.n != graph.n:
         raise ScheduleError(
             f"schedule covers {schedule.n} nodes, graph has {graph.n}"
         )
-    # One engine-backed channel for the whole frame: each color class is a
-    # distinct sender set, resolved in a single vectorised pass per slot.
     channel = SINRChannel(graph.positions, params)
-    expected = 0
-    delivered = 0
-    failures: list[tuple[int, int]] = []
-    for slot in range(schedule.frame_length):
-        senders = schedule.nodes_in_slot(slot)
-        transmissions = [
-            Transmission(sender=int(s), payload=("mac-audit", int(s)))
-            for s in senders
-        ]
-        deliveries = channel.resolve(transmissions)
-        got = {(d.sender, d.receiver) for d in deliveries}
-        for sender in senders:
-            sender = int(sender)
-            for neighbor in graph.neighbors(sender):
-                neighbor = int(neighbor)
-                expected += 1
-                if (sender, neighbor) in got:
-                    delivered += 1
-                elif len(failures) < 20:
-                    failures.append((sender, neighbor))
+    tally = play_frame(
+        schedule, channel, lambda node: ("mac-audit", node), graph.neighbors
+    )
     return MacVerificationReport(
         frame_length=schedule.frame_length,
-        expected=expected,
-        delivered=delivered,
-        failures=tuple(failures),
+        expected=tally.expected,
+        delivered=tally.delivered,
+        failures=tuple(tally.failures),
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .._validation import require_int, require_probability
 from ..graphs.udg import UnitDiskGraph
-from ..sinr.channel import SINRChannel, Transmission
+from ..sinr.channel import SINRChannel
 from ..sinr.params import PhysicalParams
 from ..simulation.rng import rng_from_seed
 
@@ -80,10 +80,7 @@ def run_slotted_aloha(
         senders = np.flatnonzero(rng.random(graph.n) < probability)
         if senders.size == 0:
             continue
-        transmissions = [
-            Transmission(sender=int(s), payload=int(s)) for s in senders
-        ]
-        for delivery in channel.resolve(transmissions):
+        for delivery in channel.resolve(senders, senders.tolist()):
             pending.discard((delivery.sender, delivery.receiver))
     return AlohaReport(
         slots_run=max_slots,

@@ -19,7 +19,7 @@ indistinguishable from the reference interference-free run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .._validation import require_in, require_int
 from ..errors import ScheduleError
@@ -27,16 +27,19 @@ from ..faults.channel import FaultyChannel
 from ..faults.plan import FaultPlan
 from ..graphs.udg import UnitDiskGraph
 from ..messaging.model import GeneralAlgorithm, RoundContext, UniformAlgorithm
-from ..sinr.channel import SINRChannel, Transmission
+from ..sinr.channel import SINRChannel
 from ..sinr.params import PhysicalParams
 from ..telemetry import Telemetry
-from .tdma import TDMASchedule
+from .tdma import FrameTally, TDMASchedule, play_frame
 
 __all__ = [
     "SRSReport",
     "simulate_general_algorithm",
     "simulate_uniform_algorithm",
 ]
+
+#: One frame's ``(payload, owed, deliver)`` callbacks for ``play_frame``.
+Frame = tuple[Callable[[int], Any], Callable[[int], Any], Callable[..., None]]
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,92 @@ class SRSReport:
         }
 
 
+def _simulate(
+    graph: UnitDiskGraph,
+    algorithms: Sequence[UniformAlgorithm] | Sequence[GeneralAlgorithm],
+    schedule: TDMASchedule,
+    params: PhysicalParams,
+    max_rounds: int,
+    frames: Callable[[int], list[Frame]],
+    telemetry: Telemetry | None = None,
+    faults: FaultPlan | None = None,
+    fault_seed: int = 0,
+    resolver: str = "dense",
+) -> SRSReport:
+    """Start every instance, then play each round's ``frames(round_index)``
+    until every instance halts or ``max_rounds`` rounds ran."""
+    if len(algorithms) != graph.n:
+        raise ScheduleError(
+            f"{len(algorithms)} algorithm instances for {graph.n} nodes"
+        )
+    if schedule.n != graph.n:
+        raise ScheduleError(
+            f"schedule covers {schedule.n} nodes, graph has {graph.n}"
+        )
+    for node, algorithm in enumerate(algorithms):
+        algorithm.on_start(
+            RoundContext(
+                node=node,
+                neighbors=tuple(int(v) for v in graph.neighbors(node)),
+                n=graph.n,
+            )
+        )
+    # Sender sets repeat frame after frame (one color class per slot), so
+    # the engine's geometry cache sized to the frame turns every round
+    # after the first into O(n) mask lookups.
+    channel = SINRChannel(
+        graph.positions,
+        params,
+        cache_slots=schedule.frame_length,
+        resolver=resolver,
+    )
+    fault_channel = None
+    if faults is not None:
+        fault_channel = FaultyChannel(channel, faults, seed=fault_seed)
+        channel = fault_channel
+    if telemetry is not None:
+        telemetry.attach_channel(channel)
+    tally = FrameTally()
+    rounds = 0
+    slots = 0
+    for round_index in range(max_rounds):
+        if all(algorithm.halted for algorithm in algorithms):
+            break
+        rounds += 1
+        for payload, owed, deliver in frames(round_index):
+            # ``slots`` is the frame's first absolute slot: fault windows
+            # tick frame after frame, whether or not anyone transmits.
+            play_frame(schedule, channel, payload, owed, deliver, slots, tally)
+            slots += schedule.frame_length
+    report = SRSReport(
+        rounds=rounds,
+        slots=slots,
+        frame_length=schedule.frame_length,
+        halted=all(algorithm.halted for algorithm in algorithms),
+        expected_deliveries=tally.expected,
+        lost_deliveries=tally.lost,
+        outputs=tuple(algorithm.output() for algorithm in algorithms),
+        fault_events=(
+            fault_channel.events.as_dict() if fault_channel is not None else None
+        ),
+    )
+    if telemetry is not None:
+        telemetry.metrics.counter("srs.rounds").inc(rounds)
+        telemetry.metrics.counter("srs.expected_deliveries").inc(tally.expected)
+        telemetry.metrics.counter("srs.lost_deliveries").inc(tally.lost)
+        if telemetry.out is not None:
+            summary = report.summary()
+            summary.update(
+                {
+                    "n": graph.n,
+                    "transmissions": tally.transmissions,
+                    "deliveries": tally.deliveries,
+                }
+            )
+            telemetry.export("srs", summary=summary)
+    return report
+
+
 def simulate_uniform_algorithm(
     graph: UnitDiskGraph,
     algorithms: Sequence[UniformAlgorithm],
@@ -131,110 +220,21 @@ def simulate_uniform_algorithm(
     ``docs/SCALING.md``).
     """
     require_int("max_rounds", max_rounds, minimum=0)
-    if len(algorithms) != graph.n:
-        raise ScheduleError(
-            f"{len(algorithms)} algorithm instances for {graph.n} nodes"
-        )
-    if schedule.n != graph.n:
-        raise ScheduleError(
-            f"schedule covers {schedule.n} nodes, graph has {graph.n}"
-        )
-    for node, algorithm in enumerate(algorithms):
-        algorithm.on_start(
-            RoundContext(
-                node=node,
-                neighbors=tuple(int(v) for v in graph.neighbors(node)),
-                n=graph.n,
-            )
-        )
-    # Sender sets repeat frame after frame (one color class per slot), so
-    # the engine's geometry cache sized to the frame turns every round
-    # after the first into O(n) mask lookups.
-    channel = SINRChannel(
-        graph.positions,
-        params,
-        cache_slots=schedule.frame_length,
-        resolver=resolver,
+
+    def frames(round_index: int) -> list[Frame]:
+        # One frame per round: every node broadcasts its one payload, and
+        # every decoder hears it.
+        outgoing = [algorithm.send(round_index) for algorithm in algorithms]
+
+        def deliver(receiver: int, sender: int, payload: Any) -> None:
+            algorithms[receiver].on_receive(round_index, sender, payload)
+
+        return [(outgoing.__getitem__, graph.neighbors, deliver)]
+
+    return _simulate(
+        graph, algorithms, schedule, params, max_rounds, frames,
+        telemetry, faults, fault_seed, resolver,
     )
-    fault_channel = None
-    if faults is not None:
-        fault_channel = FaultyChannel(channel, faults, seed=fault_seed)
-        channel = fault_channel
-    if telemetry is not None:
-        telemetry.attach_channel(channel)
-        rounds_counter = telemetry.metrics.counter("srs.rounds")
-        expected_counter = telemetry.metrics.counter("srs.expected_deliveries")
-        lost_counter = telemetry.metrics.counter("srs.lost_deliveries")
-    expected = 0
-    lost = 0
-    rounds = 0
-    transmission_count = 0
-    delivery_count = 0
-    for _ in range(max_rounds):
-        if all(algorithm.halted for algorithm in algorithms):
-            break
-        rounds += 1
-        round_lost = 0
-        outgoing = [algorithms[v].send(rounds - 1) for v in range(graph.n)]
-        for slot in range(schedule.frame_length):
-            if fault_channel is not None:
-                # Fault windows tick in absolute physical slots, frame
-                # after frame, whether or not anyone transmits.
-                fault_channel.begin_slot(
-                    (rounds - 1) * schedule.frame_length + slot
-                )
-            senders = [
-                int(s)
-                for s in schedule.nodes_in_slot(slot)
-                if outgoing[int(s)] is not None
-            ]
-            if not senders:
-                continue
-            transmissions = [
-                Transmission(sender=s, payload=outgoing[s]) for s in senders
-            ]
-            deliveries = channel.resolve(transmissions)
-            transmission_count += len(transmissions)
-            delivery_count += len(deliveries)
-            got = {(d.sender, d.receiver) for d in deliveries}
-            for delivery in deliveries:
-                algorithms[delivery.receiver].on_receive(
-                    rounds - 1, delivery.sender, delivery.payload
-                )
-            for sender in senders:
-                for neighbor in graph.neighbors(sender):
-                    expected += 1
-                    if (sender, int(neighbor)) not in got:
-                        lost += 1
-                        round_lost += 1
-        if telemetry is not None:
-            rounds_counter.inc()
-            lost_counter.inc(round_lost)
-    report = SRSReport(
-        rounds=rounds,
-        slots=rounds * schedule.frame_length,
-        frame_length=schedule.frame_length,
-        halted=all(algorithm.halted for algorithm in algorithms),
-        expected_deliveries=expected,
-        lost_deliveries=lost,
-        outputs=tuple(algorithm.output() for algorithm in algorithms),
-        fault_events=(
-            fault_channel.events.as_dict() if fault_channel is not None else None
-        ),
-    )
-    if telemetry is not None:
-        expected_counter.inc(expected)
-        if telemetry.out is not None:
-            summary = report.summary()
-            summary.update(
-                {
-                    "n": graph.n,
-                    "transmissions": transmission_count,
-                    "deliveries": delivery_count,
-                }
-            )
-            telemetry.export("srs", summary=summary)
-    return report
 
 
 def simulate_general_algorithm(
@@ -263,34 +263,9 @@ def simulate_general_algorithm(
     """
     require_int("max_rounds", max_rounds, minimum=0)
     require_in("strategy", strategy, ("packed", "serial"))
-    if len(algorithms) != graph.n:
-        raise ScheduleError(
-            f"{len(algorithms)} algorithm instances for {graph.n} nodes"
-        )
-    if schedule.n != graph.n:
-        raise ScheduleError(
-            f"schedule covers {schedule.n} nodes, graph has {graph.n}"
-        )
-    for node, algorithm in enumerate(algorithms):
-        algorithm.on_start(
-            RoundContext(
-                node=node,
-                neighbors=tuple(int(v) for v in graph.neighbors(node)),
-                n=graph.n,
-            )
-        )
-    channel = SINRChannel(
-        graph.positions, params, cache_slots=schedule.frame_length
-    )
-    expected = 0
-    lost = 0
-    rounds = 0
-    slots = 0
-    for _ in range(max_rounds):
-        if all(algorithm.halted for algorithm in algorithms):
-            break
-        rounds += 1
-        outgoing = [algorithms[v].send_to(rounds - 1) for v in range(graph.n)]
+
+    def frames(round_index: int) -> list[Frame]:
+        outgoing = [algorithm.send_to(round_index) for algorithm in algorithms]
         for sender, plan in enumerate(outgoing):
             neighbor_set = {int(v) for v in graph.neighbors(sender)}
             bad = set(plan) - neighbor_set
@@ -307,46 +282,23 @@ def simulate_general_algorithm(
                 }
             ]
         else:
-            depth = max((len(plan) for plan in outgoing), default=0)
-            subframes = []
-            for j in range(depth):
-                load = {}
-                for sender, plan in enumerate(outgoing):
-                    items = sorted(plan.items())
-                    if j < len(items):
-                        load[sender] = dict([items[j]])
-                subframes.append(load)
-        for load in subframes:
-            slots += schedule.frame_length
-            for slot in range(schedule.frame_length):
-                senders = [
-                    int(s) for s in schedule.nodes_in_slot(slot) if int(s) in load
-                ]
-                if not senders:
-                    continue
-                transmissions = [
-                    Transmission(sender=s, payload=load[s]) for s in senders
-                ]
-                deliveries = channel.resolve(transmissions)
-                got = {(d.sender, d.receiver) for d in deliveries}
-                for delivery in deliveries:
-                    if delivery.receiver in delivery.payload:
-                        algorithms[delivery.receiver].on_receive(
-                            rounds - 1,
-                            delivery.sender,
-                            delivery.payload[delivery.receiver],
-                        )
-                for sender in senders:
-                    for addressee in load[sender]:
-                        expected += 1
-                        if (sender, addressee) not in got:
-                            lost += 1
-    return SRSReport(
-        rounds=rounds,
-        slots=slots,
-        frame_length=schedule.frame_length,
-        halted=all(algorithm.halted for algorithm in algorithms),
-        expected_deliveries=expected,
-        lost_deliveries=lost,
-        outputs=tuple(algorithm.output() for algorithm in algorithms),
-    )
+            items = [sorted(plan.items()) for plan in outgoing]
+            depth = max(map(len, items), default=0)
+            subframes = [
+                {v: dict([row[j]]) for v, row in enumerate(items) if j < len(row)}
+                for j in range(depth)
+            ]
+
+        def deliver(receiver: int, sender: int, payload: Any) -> None:
+            # Every decoder gets the whole broadcast; only addressees take
+            # their entry.
+            if receiver in payload:
+                algorithms[receiver].on_receive(
+                    round_index, sender, payload[receiver]
+                )
+
+        # A subframe's senders are its loaded nodes, and each owes its
+        # addressees.
+        return [(load.get, load.__getitem__, deliver) for load in subframes]
+
+    return _simulate(graph, algorithms, schedule, params, max_rounds, frames)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.invariants import IndependenceAuditor
+from repro.graphs.udg import UnitDiskGraph
+from repro.invariants import IndependenceAuditor, independence_violations
 
 
 def make_auditor():
@@ -56,3 +57,21 @@ class TestAuditor:
         auditor.on_decision(2, 1, 0)
         auditor.on_decision(3, 2, 0)
         assert len(auditor.violations) == 3  # (0,1), (0,2), (1,2)
+
+    def test_keeps_the_unit_disk_graphs_rule(self):
+        # hypot rounds to at most 1.0 here while the squared distance
+        # exceeds 1.0: the graph has no edge, so the audit must not
+        # report one.
+        positions = np.array(
+            [
+                [1.1306803834256405, -0.6664714561253771],
+                [1.791537290652291, 0.08404046794433839],
+            ]
+        )
+        assert UnitDiskGraph(positions, 1.0).degrees.tolist() == [0, 0]
+        auditor = IndependenceAuditor(positions=positions, radius=1.0)
+        auditor.on_decision(1, 0, 1)
+        auditor.on_decision(2, 1, 1)
+        assert auditor.clean
+        assert independence_violations(positions, 1.0, [1, 1]) == []
+

@@ -228,6 +228,8 @@ class TestConfigHashPins:
             ("exp1", {}, "7107bbc9c6a9fb1b"),
             ("exp14", {}, "59e289547afd3ac5"),
             ("exp14", {"algorithm": "mw", "seeds": range(3)}, "67a2ccaccc18d408"),
+            # exp10's grid has no seed axis: ``seeds`` alone is dropped.
+            ("exp10", {"seeds": range(3)}, "a8c5cd428a088707"),
         ],
     )
     def test_plan_hash_is_pinned(self, experiment, kwargs, expected):
@@ -239,6 +241,22 @@ class TestConfigHashPins:
             experiment, unit_kwargs={"seeds": seeds}, algorithm=algorithm
         )
         assert plan.config_hash == expected
+
+    def test_unknown_override_raises_naming_it(self):
+        """A misspelt override used to be dropped, planning the default
+        sweep (exp1 ``7107bbc9c6a9fb1b``) with no error."""
+        from repro.orchestration import plan_sweep
+
+        with pytest.raises(ConfigurationError, match="'extnets'"):
+            plan_sweep("exp1", unit_kwargs={"seeds": range(2), "extnets": (5.0,)})
+        with pytest.raises(ConfigurationError, match="'bogus', 'extnets'"):
+            run_sharded(
+                "exp1", jobs=1, unit_kwargs={"bogus": 1, "extnets": (5.0,)}
+            )
+        with pytest.raises(ConfigurationError, match="'faults'"):
+            plan_sweep("exp10", faults={"messages": {"drop": 0.1}})
+        with pytest.raises(ConfigurationError, match="'algorithm'"):
+            plan_sweep("exp10", unit_kwargs={"seeds": range(3)}, algorithm="mw")
 
     def test_sweeps_take_no_resolver(self):
         """The sparse resolver only pays off far above sweep sizes, so
