@@ -6,7 +6,7 @@ pays off where a large sender set meets a large deployment.  Two user
 operations can get there, and this script times both, once per backend:
 
 * ``mw`` — one audited MW coloring run, the ``repro color`` path
-  (:func:`repro.coloring.runner.run_mw_coloring_audited`), at
+  (:func:`repro.coloring.runner.run_mw_coloring`), at
   n in {400, 1500, 3000};
 * ``srs`` — one Corollary 1 SRS flooding run, the ``repro srs`` path
   (UDG, greedy distance-(d+1) coloring, TDMA frame,
@@ -63,8 +63,8 @@ except ImportError:  # pragma: no cover
 
 import numpy as np
 
-from repro.coloring.baselines import greedy_coloring
-from repro.coloring.runner import run_mw_coloring, run_mw_coloring_audited
+from repro.algorithms.classical import greedy_coloring
+from repro.coloring.runner import run_mw_coloring
 from repro.geometry.deployment import uniform_deployment
 from repro.graphs.power import power_graph
 from repro.graphs.udg import UnitDiskGraph
@@ -135,13 +135,13 @@ def _check_mw(positions: np.ndarray, params: PhysicalParams) -> dict:
 
 
 def _run_mw(positions: np.ndarray, params: PhysicalParams, resolver: str) -> dict:
-    result, auditor = run_mw_coloring_audited(
-        positions, params, seed=SEED, resolver=resolver
-    )
+    result = run_mw_coloring(positions, params, seed=SEED, resolver=resolver)
     return {
         "slots": result.stats.slots_run,
         "ok": bool(
-            result.stats.completed and result.is_proper() and auditor.clean
+            result.stats.completed
+            and result.is_proper()
+            and not result.audit_violations
         ),
     }
 
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "note": (
             "one run per cell, whole-operation wall clock in seconds: mw is "
-            "run_mw_coloring_audited (repro color), srs is SRS flooding over "
+            "the audited run_mw_coloring (repro color), srs is SRS flooding over "
             "the largest connected component (repro srs); sparse deliveries "
             "cross-checked as a subset of dense before timing"
         ),

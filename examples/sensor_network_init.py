@@ -26,9 +26,9 @@ from repro import (
     WakeupSchedule,
     clustered_deployment,
     run_distance_d_coloring,
+    run_mw_coloring,
     verify_tdma_broadcast,
 )
-from repro.coloring.runner import run_mw_coloring_audited
 
 
 def main() -> None:
@@ -43,12 +43,12 @@ def main() -> None:
 
     # Phase 1: asynchronous self-coloring.
     schedule = WakeupSchedule.uniform_random(n, max_delay=2000, seed=9)
-    result, auditor = run_mw_coloring_audited(
+    result = run_mw_coloring(
         deployment, params, seed=2, schedule=schedule, trace=True
     )
     print(f"\nphase 1 — coloring: {result.slots_to_complete} slots "
           f"(wake-up spread over {schedule.last_wake})")
-    print(f"  proper: {result.is_proper()}  audit clean: {auditor.clean}")
+    print(f"  proper: {result.is_proper()}  audit clean: {not result.audit_violations}")
     print(f"  colors: {result.num_colors}  leaders: {len(result.leaders)}")
 
     # Phase 2: the emergent clustering.
@@ -78,7 +78,8 @@ def main() -> None:
           f"served {report.delivered}/{report.expected} pairs, "
           f"interference-free: {report.interference_free}")
 
-    assert result.is_proper() and auditor.clean and report.interference_free
+    assert result.is_proper() and not result.audit_violations
+    assert report.interference_free
     print("\nOK — network initialised: leaders, clusters, schedule.")
 
 

@@ -23,18 +23,16 @@ claim-by-claim validation of the paper.
 
 from __future__ import annotations
 
+from .algorithms.classical import greedy_coloring, randomized_coloring
 from .coloring import (
     AlgorithmConstants,
     IndependenceAuditor,
     MWColoringResult,
-    greedy_coloring,
-    randomized_coloring,
     reduce_palette,
     reduce_palette_simulated,
     run_distance_d_coloring,
     run_mw_coloring,
 )
-from .coloring.runner import run_mw_coloring_audited
 from .errors import (
     ColoringError,
     ConfigurationError,
@@ -140,7 +138,6 @@ __all__ = [
     "run_distance_d_coloring",
     "run_general_rounds",
     "run_mw_coloring",
-    "run_mw_coloring_audited",
     "run_slotted_aloha",
     "run_uniform_rounds",
     "simulate_general_algorithm",

@@ -14,8 +14,8 @@ the single switch that populates the registry:
 * ``kuhn_multicolor`` — Kuhn's constant-time local multicoloring
   (arXiv:0902.1868) as a TDMA-schedule producer for the ``mac/``
   verify path;
-* ``greedy`` / ``luby`` — the interference-free baselines of
-  :mod:`repro.coloring.baselines`, registered as yardsticks.
+* ``greedy`` / ``luby`` — the interference-free baselines
+  (:mod:`repro.algorithms.classical`), registered as yardsticks.
 
 See docs/ALGORITHMS.md for the catalogue with bounds, EXP-14 for the
 head-to-head arena, and tests/arena/ for the conformance contract every

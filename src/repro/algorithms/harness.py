@@ -14,7 +14,6 @@ from dataclasses import replace
 from typing import Any
 
 from ..coloring.runner import run_protocol
-from ..invariants import IndependenceAuditor
 from .base import (
     ColoringAlgorithm,
     ColoringRunResult,
@@ -74,15 +73,12 @@ def run_event_protocol(
 ) -> ColoringRunResult:
     """Run a protocol entry's node machines through the one run harness.
 
-    The live independence audit is always attached (the arena's
-    conformance contract), and telemetry — when the task carries it —
-    observes decisions exactly like the MW path does.
+    The harness's live independence audit (the arena's conformance
+    contract) travels on the result, and telemetry — when the task
+    carries it — observes decisions exactly like the MW path does.
     """
     graph = task.graph()
     params = task.resolved_params()
-    auditor = IndependenceAuditor(
-        positions=graph.positions, radius=graph.radius
-    )
     ctx = ProtocolContext(graph=graph, params=params, seed=task.seed)
     outcome = run_protocol(
         algorithm.name,
@@ -99,7 +95,6 @@ def run_event_protocol(
         seed=task.seed,
         channel=task.channel,
         faults=task.faults,
-        decision_listeners=(auditor.on_decision,),
         telemetry=task.telemetry,
     )
     stats = outcome.stats
@@ -116,7 +111,7 @@ def run_event_protocol(
         palette_bound=algorithm.palette_bound(ctx.delta),
         completed=stats.completed,
         convergence_slots=convergence,
-        audit_violations=tuple(auditor.violations),
+        audit_violations=outcome.audit_violations,
         stats=stats,
         fault_events=outcome.fault_events,
     )

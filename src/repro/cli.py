@@ -37,12 +37,14 @@ import sys
 from typing import Sequence
 
 from . import __version__
+from .algorithms import algorithm_names, run_coloring_algorithm
+from .algorithms.classical import greedy_coloring
+from .algorithms.mw import mw_run_result
 from .analysis.tables import format_table
 from .errors import ConfigurationError, ReproError
 from .faults.plan import FaultPlan, load_fault_plan
-from .coloring.baselines import greedy_coloring
 from .coloring.estimation import estimate_degrees
-from .coloring.runner import run_mw_coloring_audited
+from .coloring.runner import run_mw_coloring
 from .geometry.deployment import (
     Deployment,
     clustered_deployment,
@@ -207,7 +209,23 @@ def _cmd_physics(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``--faults`` degradation table's quantities, in print order
+#: (the fault counters follow, sorted).
+_DEGRADATION_KEYS = (
+    "completed", "proper", "decided", "n", "independence_violations", "clean",
+)
+
+
 def _cmd_color(args: argparse.Namespace) -> int:
+    """``repro color``: one run of any zoo entry, judged by ``outcome.clean``.
+
+    MW calls :func:`~repro.coloring.runner.run_mw_coloring` itself (the
+    only path that takes ``--resolver sparse``) and prints its own
+    summary row; every other entry runs through
+    :func:`~repro.algorithms.run_coloring_algorithm` and prints the
+    arena's row.  Under ``--faults`` any entry also prints the
+    degradation table, read from the same :class:`ColoringRunResult`.
+    """
     params = _params(args)
     deployment = _deployment(args)
     try:
@@ -216,13 +234,28 @@ def _cmd_color(args: argparse.Namespace) -> int:
         print(f"cannot load fault plan: {failure}", file=sys.stderr)
         return 2
     telemetry = _telemetry_from(args, "color")
-    if getattr(args, "algorithm", "mw") != "mw":
-        return _color_via_registry(args, params, deployment, plan, telemetry)
-    try:
-        result, auditor = run_mw_coloring_audited(
-            deployment, params, seed=args.seed, channel=args.channel,
-            resolver=args.resolver, telemetry=telemetry, faults=plan,
+    if args.algorithm != "mw" and args.resolver != "dense":
+        raise ConfigurationError(
+            f"--resolver {args.resolver} only applies to --algorithm mw, "
+            f"not {args.algorithm!r}"
         )
+    try:
+        if args.algorithm == "mw":
+            result = run_mw_coloring(
+                deployment, params, seed=args.seed, channel=args.channel,
+                resolver=args.resolver, telemetry=telemetry, faults=plan,
+            )
+            outcome = mw_run_result(result)
+            row = result.summary()
+            row["audit_violations"] = len(result.audit_violations)
+            title = "MW coloring run"
+        else:
+            outcome = run_coloring_algorithm(
+                args.algorithm, deployment, params, seed=args.seed,
+                channel=args.channel, telemetry=telemetry, faults=plan,
+            )
+            row = outcome.row()
+            title = f"{args.algorithm} coloring run"
     except ConfigurationError:
         raise
     except ReproError as failure:
@@ -230,67 +263,16 @@ def _cmd_color(args: argparse.Namespace) -> int:
         # escapes a handler — domain failures triggered by CLI inputs
         # are configuration problems by the time they reach a user
         raise ConfigurationError(f"color run failed: {failure}") from failure
-    row = result.summary()
-    row["audit_violations"] = len(auditor.violations)
     print(format_table(
         [row],
-        title=f"MW coloring run (channel={args.channel}, resolver={args.resolver})",
+        title=f"{title} (channel={args.channel}, resolver={args.resolver})",
     ))
     if plan is not None:
-        from .invariants import degradation_report
-
-        report = degradation_report(result, auditor)
-        rows = [
-            {"quantity": key, "value": value}
-            for key, value in report.as_dict().items()
-        ]
+        judged = outcome.row()
+        keys = [*_DEGRADATION_KEYS, *(k for k in judged if k.startswith("fault_"))]
+        rows = [{"quantity": key, "value": judged[key]} for key in keys]
         print(format_table(rows, title=f"degradation under {args.faults}"))
     if telemetry is not None:
-        print(f"telemetry written to {telemetry.out}"
-              f" (summarise with: python -m repro report {telemetry.out})")
-    ok = result.stats.completed and result.is_proper() and auditor.clean
-    return 0 if ok else 1
-
-
-def _color_via_registry(
-    args: argparse.Namespace,
-    params: PhysicalParams,
-    deployment: Deployment,
-    plan: FaultPlan | None,
-    telemetry: Telemetry | None,
-) -> int:
-    """``repro color --algorithm <zoo entry>``: the arena front door.
-
-    The default ``--algorithm mw`` keeps the historical MW output path
-    (with its degradation table) byte-identical; every other registry
-    entry runs through :func:`repro.algorithms.run_coloring_algorithm`
-    and prints the arena's common summary row.  The sparse resolver is
-    MW-only, so ``--resolver sparse`` is refused here.
-    """
-    from .algorithms import run_coloring_algorithm
-
-    if args.resolver != "dense":
-        raise ConfigurationError(
-            f"--resolver {args.resolver} only applies to --algorithm mw, "
-            f"not {args.algorithm!r}"
-        )
-    try:
-        outcome = run_coloring_algorithm(
-            args.algorithm, deployment, params, seed=args.seed,
-            channel=args.channel, telemetry=telemetry, faults=plan,
-        )
-    except ConfigurationError:
-        raise
-    except ReproError as failure:
-        raise ConfigurationError(f"color run failed: {failure}") from failure
-    print(format_table(
-        [outcome.row()],
-        title=(
-            f"{args.algorithm} coloring run "
-            f"(channel={args.channel}, resolver={args.resolver})"
-        ),
-    ))
-    if telemetry is not None and telemetry.out is not None:
         print(f"telemetry written to {telemetry.out}"
               f" (summarise with: python -m repro report {telemetry.out})")
     return 0 if outcome.clean else 1
@@ -689,8 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--channel", choices=["sinr", "graph", "collision_free"], default="sinr"
     )
     _add_resolver_args(color)
-    from .algorithms import algorithm_names
-
     _add_algorithm_args(color, default="mw", choices=algorithm_names())
     _add_faults_args(color)
     _add_telemetry_args(color)

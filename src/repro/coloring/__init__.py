@@ -11,13 +11,11 @@
 * :mod:`repro.coloring.distance_d` — distance-d coloring via power boosting
   (Section V).
 * :mod:`repro.coloring.palette` — palette reduction to Delta+1 colors.
-* :mod:`repro.coloring.baselines` — greedy and Luby-style baselines.
 """
 
 from __future__ import annotations
 
 from ..invariants import IndependenceAuditor
-from .baselines import greedy_coloring, randomized_coloring
 from .constants import AlgorithmConstants
 from .distance_d import run_distance_d_coloring
 from .messages import MsgA, MsgC, MsgR
@@ -35,8 +33,6 @@ __all__ = [
     "MsgA",
     "MsgC",
     "MsgR",
-    "greedy_coloring",
-    "randomized_coloring",
     "reduce_palette",
     "reduce_palette_simulated",
     "run_distance_d_coloring",

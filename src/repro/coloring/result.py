@@ -8,6 +8,7 @@ import numpy as np
 
 from ..graphs.coloring import Coloring
 from ..graphs.udg import UnitDiskGraph
+from ..invariants import IndependenceViolation
 from ..simulation.event_sim import RunStats
 from ..simulation.trace import TraceRecorder
 from .constants import AlgorithmConstants
@@ -39,6 +40,10 @@ class MWColoringResult:
     fault_events:
         The fault layer's injection counters when the run carried a
         :class:`~repro.faults.FaultPlan` (None for clean runs).
+    audit_violations:
+        The live Theorem 1 audit's findings, in detection order (the
+        same field as :attr:`repro.algorithms.ColoringRunResult.
+        audit_violations`); empty when every class stayed independent.
     """
 
     graph: UnitDiskGraph
@@ -49,6 +54,7 @@ class MWColoringResult:
     constants: AlgorithmConstants
     trace: TraceRecorder
     fault_events: dict[str, int] | None = None
+    audit_violations: tuple[IndependenceViolation, ...] = ()
 
     @property
     def n(self) -> int:

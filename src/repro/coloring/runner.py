@@ -1,19 +1,18 @@
-"""The one coloring run harness, and MW's adapters over it.
+"""The one coloring run harness, and MW's adapter over it.
 
 :func:`run_protocol` is the only code that wires and runs an
 :class:`~repro.simulation.event_sim.EventSimulator` for a coloring run:
 channel, fault wrapping, wake-up schedule, telemetry, decision listeners
 (the live Theorem 1 audit and the decision metrics), the engine itself
 and color extraction.  Every SINR protocol goes through it — the MW
-coloring via :func:`run_mw_coloring` / :func:`run_mw_coloring_audited`
-(the entry point of the examples, the CLI and every experiment), and
-the zoo's other protocols via
+coloring via :func:`run_mw_coloring` (the entry point of the examples,
+the CLI and every experiment), and the zoo's other protocols via
 :func:`repro.algorithms.harness.run_event_protocol` — so head-to-head
 rows compare algorithms run under the identical environment.
 
-The MW adapters only build the Figure 1-3 node machines from the
-deployment's constants and map the outcome to an
-:class:`~repro.coloring.result.MWColoringResult`.
+Every run carries the live Theorem 1 audit.  The MW adapter only builds
+the Figure 1-3 node machines from the deployment's constants and maps
+the outcome to an :class:`~repro.coloring.result.MWColoringResult`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from ..graphs.coloring import Coloring
 from ..graphs.udg import UnitDiskGraph
 from ..faults.channel import FaultyChannel
 from ..faults.plan import FaultPlan
-from ..invariants import IndependenceAuditor
+from ..invariants import IndependenceAuditor, IndependenceViolation
 from ..sinr.channel import Channel, CollisionFreeChannel, GraphChannel, SINRChannel
 from ..sinr.params import PhysicalParams
 from ..simulation.event_sim import EventNode, EventSimulator, RunStats
@@ -49,7 +48,6 @@ __all__ = [
     "default_max_slots",
     "make_channel",
     "run_mw_coloring",
-    "run_mw_coloring_audited",
     "run_protocol",
 ]
 
@@ -130,13 +128,15 @@ class ProtocolRun:
 
     ``colors`` and ``decision_slots`` hold ``-1`` for nodes that never
     decided; ``fault_events`` carries the fault layer's injection
-    counters when the run had a plan (None for clean runs).
+    counters when the run had a plan (None for clean runs);
+    ``audit_violations`` holds the live Theorem 1 audit's findings.
     """
 
     colors: np.ndarray
     decision_slots: np.ndarray
     stats: RunStats
     fault_events: dict[str, int] | None
+    audit_violations: tuple[IndependenceViolation, ...]
 
 
 def run_protocol(
@@ -163,8 +163,10 @@ def run_protocol(
     ``schedule``, else the plan's wake-up spec, else synchronous wake-up;
     telemetry (``meta["algorithm"]`` set to ``algorithm`` unless the
     caller named it, channel metrics attached); the decision listeners —
-    the caller's ``decision_listeners`` first, then telemetry's decision
-    metrics — handed to ``build_nodes``, which returns one node machine
+    the caller's ``decision_listeners`` first, then the run's own
+    :class:`~repro.invariants.IndependenceAuditor` (the live Theorem 1
+    audit, radius ``graph.radius``), then telemetry's decision metrics —
+    handed to ``build_nodes``, which returns one node machine
     per node exposing ``color`` / ``decision_slot`` (``None`` until
     decided); then the engine runs for at most ``max_slots`` slots with
     ``observers`` attached.  ``seed`` drives the node coins, the fault
@@ -184,7 +186,8 @@ def run_protocol(
         else:
             schedule = WakeupSchedule.synchronous(n)
 
-    listeners = list(decision_listeners)
+    auditor = IndependenceAuditor(positions=graph.positions, radius=graph.radius)
+    listeners = [*decision_listeners, auditor.on_decision]
     if telemetry is not None:
         telemetry.meta.setdefault("algorithm", algorithm)
         telemetry.attach_channel(channel_obj)
@@ -235,6 +238,7 @@ def run_protocol(
         fault_events=(
             fault_channel.events.as_dict() if fault_channel is not None else None
         ),
+        audit_violations=tuple(auditor.violations),
     )
 
 
@@ -283,7 +287,8 @@ def run_mw_coloring(
     observers:
         End-of-slot observers (called on active slots).
     decision_listeners:
-        Callables ``(slot, node, color)`` fired at every color decision.
+        Callables ``(slot, node, color)`` fired at every color decision,
+        before the run's own :class:`~repro.invariants.IndependenceAuditor`.
     resolver:
         SINR interference backend: ``"dense"`` (exact, default) or
         ``"sparse"`` (grid-bucketed near field + certified far-field
@@ -302,18 +307,21 @@ def run_mw_coloring(
         empty plan — wrapping is bit-neutral), the plan's wake-up spec
         supplies the schedule when no explicit ``schedule`` is passed,
         and ``result.fault_events`` reports the injection counters.
-        Invariant violations under faults are recorded, never raised
-        (see :func:`repro.invariants.degradation_report`).
+        Invariant violations under faults are recorded, never raised.
 
     Returns
     -------
     MWColoringResult
         ``result.stats.completed`` says whether every node decided within
-        the budget.
+        the budget; ``result.audit_violations`` holds the live Theorem 1
+        audit's findings (empty when the run upheld the invariant).
     """
     if params is None:
         params = PhysicalParams().with_r_t(1.0)
-    graph = UnitDiskGraph(_positions(deployment), params.r_t)
+    positions = (
+        deployment.positions if isinstance(deployment, Deployment) else deployment
+    )
+    graph = UnitDiskGraph(positions, params.r_t)
     n = graph.n
     if n == 0:
         raise ConfigurationError("cannot color an empty deployment")
@@ -361,39 +369,11 @@ def run_mw_coloring(
         constants=constants,
         trace=recorder,
         fault_events=outcome.fault_events,
+        audit_violations=outcome.audit_violations,
     )
     if telemetry is not None and telemetry.out is not None:
         telemetry.export_coloring(result)
     return result
-
-
-def run_mw_coloring_audited(
-    deployment: Deployment | np.ndarray,
-    params: PhysicalParams | None = None,
-    *,
-    decision_listeners: Sequence[DecisionListener] = (),
-    **kwargs,
-) -> tuple[MWColoringResult, IndependenceAuditor]:
-    """Like :func:`run_mw_coloring` but with a live Theorem 1 audit attached.
-
-    The auditor listens after the caller's ``decision_listeners``.
-    Returns the result together with the auditor; ``auditor.clean`` is
-    the empirical Theorem 1 verdict for the run.
-    """
-    if params is None:
-        params = PhysicalParams().with_r_t(1.0)
-    auditor = IndependenceAuditor(positions=_positions(deployment), radius=params.r_t)
-    result = run_mw_coloring(
-        deployment,
-        params,
-        decision_listeners=(*decision_listeners, auditor.on_decision),
-        **kwargs,
-    )
-    return result, auditor
-
-
-def _positions(deployment: Deployment | np.ndarray) -> np.ndarray:
-    return deployment.positions if isinstance(deployment, Deployment) else deployment
 
 
 def slots_bound_estimate(constants: AlgorithmConstants) -> int:

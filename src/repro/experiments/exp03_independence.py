@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .._validation import require_in
-from ..coloring.runner import run_mw_coloring_audited
+from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import clustered_deployment, uniform_deployment
 from ._units import grid_units, run_units
 
@@ -38,15 +38,15 @@ def run_single(seed: int, family: str) -> dict:
             clusters=7, points_per_cluster=11, extent=7.0,
             cluster_radius=0.6, seed=seed,
         )
-    result, auditor = run_mw_coloring_audited(deployment, seed=seed + 30)
+    result = run_mw_coloring(deployment, seed=seed + 30)
     return {
         "family": family,
         "seed": seed,
         "n": result.n,
         "delta": result.constants.delta,
-        "decisions": auditor.decisions_audited,
-        "violations": len(auditor.violations),
-        "clean": auditor.clean,
+        "decisions": int((result.decision_slots >= 0).sum()),
+        "violations": len(result.audit_violations),
+        "clean": not result.audit_violations,
         "leaders": len(result.leaders),
         "completed": result.stats.completed,
     }

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..coloring.runner import build_constants, run_mw_coloring_audited
+from ..coloring.runner import build_constants, run_mw_coloring
 from ..geometry.deployment import uniform_deployment
 from ..graphs.udg import UnitDiskGraph
 from ..sinr.params import PhysicalParams
@@ -38,14 +38,14 @@ def run_single(
     deployment = uniform_deployment(70, 5.5, seed=seed)
     graph = UnitDiskGraph(deployment.positions, params.r_t)
     constants = build_constants("practical", graph, params, graph.n).scaled(scale)
-    result, auditor = run_mw_coloring_audited(
+    result = run_mw_coloring(
         deployment, params, constants=constants, seed=seed + 90
     )
     return {
         "scale": scale,
         "seed": seed,
-        "violations": len(auditor.violations),
-        "violated": not auditor.clean,
+        "violations": len(result.audit_violations),
+        "violated": bool(result.audit_violations),
         "proper": result.is_proper(),
         "improper": not result.is_proper(),
         "slots": result.slots_to_complete,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..coloring.baselines import greedy_coloring
+from ..algorithms.classical import greedy_coloring
 from ..geometry.deployment import uniform_deployment
 from ..graphs.power import power_graph
 from ..graphs.udg import UnitDiskGraph

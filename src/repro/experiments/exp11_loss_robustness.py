@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from ..coloring.runner import run_mw_coloring_audited
+from ..coloring.runner import run_mw_coloring
 from ..faults.plan import FaultPlan, MessageFaults
 from ..geometry.deployment import uniform_deployment
 from ..sinr.params import PhysicalParams
@@ -46,7 +46,7 @@ def run_single(
     plan = FaultPlan(messages=MessageFaults(drop=drop), seed=seed + 1)
     if faults is not None:
         plan = plan.merge(FaultPlan.coerce(faults))
-    result, auditor = run_mw_coloring_audited(
+    result = run_mw_coloring(
         deployment, params, seed=seed + 40, faults=plan
     )
     events = result.fault_events or {}
@@ -55,9 +55,13 @@ def run_single(
         "seed": seed,
         "slots": result.slots_to_complete,
         "proper": result.is_proper(),
-        "clean": auditor.clean,
+        "clean": not result.audit_violations,
         "completed": result.stats.completed,
-        "ok": result.stats.completed and result.is_proper() and auditor.clean,
+        "ok": (
+            result.stats.completed
+            and result.is_proper()
+            and not result.audit_violations
+        ),
         "dropped": int(events.get("dropped", 0)),
     }
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..coloring.estimation import run_mw_coloring_estimated_delta
-from ..coloring.runner import run_mw_coloring_audited
+from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import uniform_deployment
 from ..graphs.udg import UnitDiskGraph
 from ..sinr.params import PhysicalParams
@@ -35,7 +35,7 @@ def run_single(seed: int, params: PhysicalParams | None = None) -> dict:
         params = PhysicalParams().with_r_t(1.0)
     deployment = uniform_deployment(70, 5.5, seed=seed)
     graph = UnitDiskGraph(deployment.positions, params.r_t)
-    known, _ = run_mw_coloring_audited(deployment, params, seed=seed + 5)
+    known = run_mw_coloring(deployment, params, seed=seed + 5)
     unknown, estimate = run_mw_coloring_estimated_delta(
         deployment, params, seed=seed + 5
     )

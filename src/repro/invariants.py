@@ -13,13 +13,15 @@ reports:
 * **Palette validity** — colors are non-negative and within the claimed
   palette bound (:func:`palette_violations`).
 
-Keeping the checkers in this one module means the production
-degradation path and the tests run the *same* code and cannot drift.
+Keeping the checkers in this one module means the production runs and
+the tests run the *same* code and cannot drift.
 
 Under fault injection these invariants may genuinely break (that is the
-point of injecting faults); :func:`degradation_report` therefore
-*records* violations instead of raising, so faulted runs always complete
-and report how far they degraded.
+point of injecting faults); every checker here therefore *records*
+violations instead of raising, so faulted runs always complete and
+report how far they degraded
+(:attr:`repro.algorithms.ColoringRunResult.clean` and
+:meth:`~repro.algorithms.ColoringRunResult.row` judge a whole run).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,16 +41,13 @@ from .sinr.channel import SINRChannel
 from .sinr.params import PhysicalParams
 
 if TYPE_CHECKING:
-    from .coloring.result import MWColoringResult
     from .graphs.udg import UnitDiskGraph
     from .mac.tdma import TDMASchedule
 
 __all__ = [
-    "DegradationReport",
     "IndependenceAuditor",
     "IndependenceViolation",
     "MacVerificationReport",
-    "degradation_report",
     "independence_violations",
     "palette_violations",
     "verify_tdma_broadcast",
@@ -77,8 +76,10 @@ class IndependenceAuditor:
     Membership of a class only ever grows, and it grows exactly when a
     node enters it — so auditing every decision event is equivalent to
     auditing every slot, at a fraction of the cost.  Attach via
-    ``MWSharedConfig(decision_listeners=(auditor.on_decision,))`` (the
-    run harness does this when asked to audit).
+    ``MWSharedConfig(decision_listeners=(auditor.on_decision,))``;
+    :func:`repro.coloring.runner.run_protocol` attaches one to every
+    coloring run, whose result carries its findings as
+    ``audit_violations``.
 
     Parameters
     ----------
@@ -265,90 +266,4 @@ def verify_tdma_broadcast(
         expected=tally.expected,
         delivered=tally.delivered,
         failures=tuple(tally.failures),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Degradation reporting: record, don't raise.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DegradationReport:
-    """How far one (possibly faulted) coloring run degraded.
-
-    Produced by :func:`degradation_report`; every field *records* an
-    outcome — nothing in this path raises on a broken invariant, so
-    fault sweeps always complete and report.
-
-    Attributes
-    ----------
-    completed:
-        Whether every node decided within the slot budget.
-    proper:
-        Whether the final coloring is proper on the communication graph.
-    decided:
-        Nodes that decided.
-    n:
-        Total nodes.
-    independence_violations:
-        Theorem 1 violations observed during the run (live audit when
-        available, else the static end-state check).
-    fault_events:
-        The fault layer's injection counters (empty for clean runs).
-    """
-
-    completed: bool
-    proper: bool
-    decided: int
-    n: int
-    independence_violations: tuple[IndependenceViolation, ...]
-    fault_events: Mapping[str, int]
-
-    @property
-    def clean(self) -> bool:
-        """True iff the run upheld every audited invariant."""
-        return self.completed and self.proper and not self.independence_violations
-
-    def as_dict(self) -> dict[str, Any]:
-        """Row-shaped summary (experiment tables, JSONL artifacts)."""
-        return {
-            "completed": self.completed,
-            "proper": self.proper,
-            "decided": self.decided,
-            "n": self.n,
-            "independence_violations": len(self.independence_violations),
-            "clean": self.clean,
-            **{f"fault_{k}": int(v) for k, v in sorted(self.fault_events.items())},
-        }
-
-
-def degradation_report(
-    result: "MWColoringResult",
-    auditor: IndependenceAuditor | None = None,
-) -> DegradationReport:
-    """Summarise ``result`` against the paper's invariants.
-
-    With a live ``auditor`` its violations are reported verbatim;
-    otherwise the static end-state independence check runs on the
-    decided nodes.  Fault counters come from the result when the run
-    carried a fault plan.
-    """
-    graph = result.graph
-    if auditor is not None:
-        violations = tuple(auditor.violations)
-    else:
-        colors = np.where(
-            result.decision_slots >= 0, result.coloring.colors, -1
-        )
-        violations = tuple(
-            independence_violations(graph.positions, graph.radius, colors)
-        )
-    return DegradationReport(
-        completed=result.stats.completed,
-        proper=result.is_proper(),
-        decided=int((result.decision_slots >= 0).sum()),
-        n=graph.n,
-        independence_violations=violations,
-        fault_events=dict(result.fault_events or {}),
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coloring.baselines import greedy_coloring
+from repro.algorithms.classical import greedy_coloring
 from repro.coloring.palette import reduce_palette, reduce_palette_simulated
 from repro.errors import ColoringError
 from repro.geometry.deployment import uniform_deployment

@@ -15,6 +15,7 @@ from repro.coloring.runner import ProtocolRun, run_protocol
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, MessageFaults, WakeupSpec
 from repro.graphs.udg import UnitDiskGraph
+from repro.invariants import independence_violations
 from repro.simulation.event_sim import EventApi, EventNode
 from repro.simulation.scheduler import WakeupSchedule
 from repro.sinr.params import PhysicalParams
@@ -172,10 +173,19 @@ class TestWiring:
         outcome, _, listeners = census(
             seed=4, decision_listeners=(lambda *event: heard.append(event),)
         )
-        assert len(listeners) == 1
+        assert len(listeners) == 2  # the caller's, then the run's audit
         assert sorted(heard) == sorted(
             (WINDOW, node, int(color))
             for node, color in enumerate(outcome.colors)
+        )
+
+    def test_every_run_is_audited(self):
+        graph = line_graph()
+        outcome = census(graph, seed=4)[0]
+        static = independence_violations(graph.positions, graph.radius, outcome.colors)
+        assert static  # the census colors clash, so the audit has work
+        assert sorted(v.pair for v in outcome.audit_violations) == sorted(
+            v.pair for v in static
         )
 
     def test_observers_see_the_run(self):
@@ -246,7 +256,7 @@ class TestTelemetry:
         outcome, _, listeners = census(
             seed=6, telemetry=bundle, decision_listeners=(record,)
         )
-        assert len(listeners) == 2
+        assert len(listeners) == 3  # the caller's, the audit, the metrics
         assert listeners[0] is record
         assert len(mine) == 6
         snapshot = bundle.metrics.snapshot()
@@ -257,7 +267,7 @@ class TestTelemetry:
     def test_disabled_metrics_add_no_listener(self):
         bundle = Telemetry(metrics=False, profile=False, trace=False)
         _, _, listeners = census(seed=6, telemetry=bundle)
-        assert listeners == ()
+        assert len(listeners) == 1  # the run's own audit alone
 
     def test_telemetry_never_alters_the_run(self):
         bare = census(seed=6, channel="sinr")[0]

@@ -39,6 +39,7 @@ class TestHeadlineInvariants:
 
     def test_live_audit_clean(self, mw_run):
         result, auditor = mw_run
+        assert result.audit_violations == ()
         assert auditor.clean
         assert auditor.decisions_audited == result.n
 

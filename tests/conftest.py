@@ -14,7 +14,8 @@ from repro import (
     UnitDiskGraph,
     uniform_deployment,
 )
-from repro.coloring.runner import run_mw_coloring_audited
+from repro.coloring.runner import run_mw_coloring
+from repro.invariants import IndependenceAuditor
 
 
 @pytest.fixture(scope="session")
@@ -37,9 +38,14 @@ def small_graph(small_deployment, params) -> UnitDiskGraph:
 
 @pytest.fixture(scope="session")
 def mw_run(small_deployment, params):
-    """One audited MW coloring run shared by the integration tests."""
-    result, auditor = run_mw_coloring_audited(
-        small_deployment, params, seed=2, trace=True
+    """One MW coloring run shared by the integration tests, with a second
+    auditor of its own in ``decision_listeners`` beside the run's."""
+    auditor = IndependenceAuditor(
+        positions=small_deployment.positions, radius=params.r_t
+    )
+    result = run_mw_coloring(
+        small_deployment, params, seed=2, trace=True,
+        decision_listeners=[auditor.on_decision],
     )
     return result, auditor
 

@@ -65,14 +65,14 @@ class TestMWUnderLoss:
         # the MW algorithm is retransmission-based: 25% extra random loss
         # must not break termination, properness or independence
         from repro import uniform_deployment
-        from repro.coloring.runner import run_mw_coloring_audited
+        from repro.coloring.runner import run_mw_coloring
 
         dep = uniform_deployment(50, 5.0, seed=2)
         plan = FaultPlan(messages=MessageFaults(drop=0.25), seed=1)
-        result, auditor = run_mw_coloring_audited(
+        result = run_mw_coloring(
             dep, params, seed=4, faults=plan
         )
         assert result.stats.completed
         assert result.is_proper()
-        assert auditor.clean
+        assert not result.audit_violations
         assert result.fault_events["dropped"] > 0  # the loss actually happened

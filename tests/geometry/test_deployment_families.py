@@ -79,22 +79,22 @@ class TestRing:
 class TestProtocolOnNewFamilies:
     def test_mw_on_corridor(self):
         from repro import PhysicalParams
-        from repro.coloring.runner import run_mw_coloring_audited
+        from repro.coloring.runner import run_mw_coloring
 
         params = PhysicalParams().with_r_t(1.0)
         dep = corridor_deployment(60, length=20.0, width=1.2, seed=4)
-        result, auditor = run_mw_coloring_audited(dep, params, seed=3)
+        result = run_mw_coloring(dep, params, seed=3)
         assert result.stats.completed
         assert result.is_proper()
-        assert auditor.clean
+        assert not result.audit_violations
 
     def test_mw_on_ring(self):
         from repro import PhysicalParams
-        from repro.coloring.runner import run_mw_coloring_audited
+        from repro.coloring.runner import run_mw_coloring
 
         params = PhysicalParams().with_r_t(1.0)
         dep = ring_deployment(60, radius=6.0, jitter=0.2, seed=4)
-        result, auditor = run_mw_coloring_audited(dep, params, seed=3)
+        result = run_mw_coloring(dep, params, seed=3)
         assert result.stats.completed
         assert result.is_proper()
-        assert auditor.clean
+        assert not result.audit_violations

@@ -24,7 +24,6 @@ from repro import (
     uniform_deployment,
     verify_tdma_broadcast,
 )
-from repro.coloring.runner import run_mw_coloring_audited
 from repro.messaging.model import run_uniform_rounds
 from repro.sinr.interference import InterferenceMeter
 
@@ -41,31 +40,31 @@ class TestTheorem1AndTheorem2:
         dep = clustered_deployment(
             clusters=6, points_per_cluster=9, extent=7.0, cluster_radius=0.6, seed=2
         )
-        result, auditor = run_mw_coloring_audited(dep, params, seed=5)
+        result = run_mw_coloring(dep, params, seed=5)
         assert result.stats.completed
         assert result.is_proper()
-        assert auditor.clean
+        assert not result.audit_violations
         assert result.max_color <= result.palette_bound
 
     def test_asynchronous_wakeup(self, params):
         dep = uniform_deployment(50, 5.0, seed=40)
         schedule = WakeupSchedule.uniform_random(50, max_delay=2000, seed=7)
-        result, auditor = run_mw_coloring_audited(
+        result = run_mw_coloring(
             dep, params, seed=8, schedule=schedule
         )
         assert result.stats.completed
         assert result.is_proper()
-        assert auditor.clean
+        assert not result.audit_violations
 
     def test_graph_channel_portability(self, params):
         # the same algorithm runs under the original MW model
         dep = uniform_deployment(50, 5.0, seed=41)
-        result, auditor = run_mw_coloring_audited(
+        result = run_mw_coloring(
             dep, params, seed=9, channel="graph"
         )
         assert result.stats.completed
         assert result.is_proper()
-        assert auditor.clean
+        assert not result.audit_violations
 
 
 class TestLemma3:

@@ -22,7 +22,7 @@ import sys
 import tempfile
 
 from repro import PhysicalParams, uniform_deployment
-from repro.coloring.baselines import greedy_coloring
+from repro.algorithms.classical import greedy_coloring
 from repro.coloring.palette import reduce_palette_simulated
 from repro.experiments import exp05_tdma_mac as exp05
 from repro.experiments import exp06_srs_simulation as exp06

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import PhysicalParams, uniform_deployment
-from repro.coloring.baselines import greedy_coloring
+from repro.algorithms.classical import greedy_coloring
 from repro.errors import ScheduleError
 from repro.graphs.power import power_graph
 from repro.graphs.udg import UnitDiskGraph

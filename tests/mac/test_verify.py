@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import PhysicalParams, uniform_deployment
-from repro.coloring.baselines import greedy_coloring
+from repro.algorithms.classical import greedy_coloring
 from repro.errors import ScheduleError
 from repro.graphs.coloring import Coloring
 from repro.graphs.power import power_graph

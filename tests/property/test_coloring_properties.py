@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coloring.baselines import greedy_coloring
+from repro.algorithms.classical import greedy_coloring
 from repro.coloring.palette import reduce_palette
 from repro.graphs.coloring import Coloring
 from repro.graphs.independent import greedy_mis, is_independent_set

@@ -22,14 +22,15 @@ import numpy as np
 import pytest
 
 from repro import PhysicalParams, uniform_deployment
-from repro.coloring.runner import run_mw_coloring, run_mw_coloring_audited
+from repro.algorithms.mw import mw_run_result
+from repro.coloring.runner import run_mw_coloring
 from repro.faults import (
     FaultPlan,
     MessageFaults,
     NodeOutage,
     WakeupSpec,
 )
-from repro.invariants import degradation_report, independence_violations
+from repro.invariants import IndependenceAuditor, independence_violations
 
 PARAMS = PhysicalParams().with_r_t(1.0)
 N = 20
@@ -54,16 +55,19 @@ def survivor_violations(result, down_nodes):
 class TestFaultFreeTheorem1:
     @pytest.mark.parametrize("seed", range(10))
     def test_invariant_holds_at_every_decision(self, seed):
-        result, auditor = run_mw_coloring_audited(
-            deployment(seed), PARAMS, seed=seed
+        nodes = deployment(seed)
+        auditor = IndependenceAuditor(positions=nodes.positions, radius=PARAMS.r_t)
+        result = run_mw_coloring(
+            nodes, PARAMS, seed=seed, decision_listeners=[auditor.on_decision]
         )
         assert result.stats.completed
         assert result.is_proper()
         assert auditor.clean
+        assert result.audit_violations == ()
         assert auditor.decisions_audited == result.graph.n
-        report = degradation_report(result, auditor)
-        assert report.clean
-        assert report.decided == report.n
+        outcome = mw_run_result(result)
+        assert outcome.clean
+        assert outcome.decided == outcome.n
 
 
 class TestTheorem1UnderOutages:
@@ -84,12 +88,12 @@ class TestTheorem1UnderOutages:
                 for node in down_nodes
             ]
         )
-        result, auditor = run_mw_coloring_audited(
+        result = run_mw_coloring(
             deployment(seed), PARAMS, seed=seed, faults=plan
         )
         # Whatever a downed node did to itself, every violation the live
         # audit saw involves at least one node that lost its radio.
-        for violation in auditor.violations:
+        for violation in result.audit_violations:
             assert set(violation.pair) & set(down_nodes), (
                 f"fault-free nodes violated Theorem 1: {violation}"
             )
@@ -102,7 +106,7 @@ class TestTheorem1UnderOutages:
     @pytest.mark.parametrize("seed", range(4))
     def test_brief_sleep_still_completes_properly(self, seed):
         plan = FaultPlan(outages=[NodeOutage(node=5, start=10, stop=40)])
-        result, auditor = run_mw_coloring_audited(
+        result = run_mw_coloring(
             deployment(seed), PARAMS, seed=seed, faults=plan
         )
         assert result.stats.completed
@@ -114,10 +118,10 @@ class TestTheorem1UnderMessageLoss:
     @pytest.mark.parametrize("seed", range(6))
     def test_moderate_loss_never_breaks_independence(self, seed):
         plan = FaultPlan(messages=MessageFaults(drop=0.2, corrupt=0.05))
-        result, auditor = run_mw_coloring_audited(
+        result = run_mw_coloring(
             deployment(seed), PARAMS, seed=seed, faults=plan
         )
-        assert auditor.clean
+        assert not result.audit_violations
         assert result.is_proper()
         events = result.fault_events
         assert events is not None and events["dropped"] > 0
@@ -141,12 +145,12 @@ class TestTheorem1UnderAdversarialWakeup:
     )
     def test_every_wakeup_pattern_preserves_invariants(self, seed, spec):
         plan = FaultPlan(wakeup=spec)
-        result, auditor = run_mw_coloring_audited(
+        result = run_mw_coloring(
             deployment(seed, n=18), PARAMS, seed=seed, faults=plan
         )
         assert result.stats.completed
         assert result.is_proper()
-        assert auditor.clean
+        assert not result.audit_violations
 
 
 class TestEmptyPlanBitIdentity:

@@ -100,7 +100,7 @@ class TestJsonlRoundTrip:
         assert run.profile_summary()["slots"] == telemetry.profiler.slots
 
     def test_srs_export(self, tmp_path, params):
-        from repro.coloring.baselines import greedy_coloring
+        from repro.algorithms.classical import greedy_coloring
         from repro.graphs.power import power_graph
         from repro.graphs.udg import UnitDiskGraph
         from repro.mac.srs import simulate_uniform_algorithm

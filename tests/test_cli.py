@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
-from repro.algorithms import algorithm_names
+from repro.algorithms import algorithm_names, run_coloring_algorithm
 from repro.cli import build_parser, main
 from repro.telemetry import Telemetry, read_run
 
@@ -38,6 +40,29 @@ class TestColor:
     def test_grid_family(self, capsys):
         code = main(["color", "--n", "36", "--extent", "5", "--family", "grid"])
         assert code == 0
+
+
+class TestColorOutputPins:
+    """``repro color`` stdout, byte for byte, as the previous releases
+    printed it: a moved column or a renamed title fails here."""
+
+    FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+    @pytest.mark.parametrize(
+        "argv,fixture",
+        [
+            (["color", "--n", "100", "--extent", "6.0", "--seed", "1"],
+             "color_mw_n100_seed1.txt"),
+            (["color", "--algorithm", "greedy", "--n", "10000",
+              "--extent", "60.0", "--seed", "1"],
+             "color_greedy_n10000_seed1.txt"),
+        ],
+        ids=["mw", "greedy"],
+    )
+    def test_stdout_is_pinned(self, capsys, argv, fixture):
+        assert main(argv) == 0
+        expected = (self.FIXTURES / fixture).read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
 
 
 class TestMac:
@@ -195,6 +220,29 @@ class TestFaultsFlag:
         assert code == 0
         assert "degradation under" in out
         assert "fault_dropped" in out
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_one_handler_for_every_algorithm(self, tmp_path, capsys, algorithm):
+        """Every zoo entry prints the degradation table under a plan, and
+        the exit code is the library outcome's ``clean`` verdict."""
+        from repro import PhysicalParams, uniform_deployment
+        from repro.faults import load_fault_plan
+
+        path = self._plan(tmp_path)
+        code = main(
+            ["color", "--n", "25", "--extent", "3", "--seed", "2",
+             "--algorithm", algorithm, "--faults", str(path)]
+        )
+        out = capsys.readouterr().out
+        assert "degradation under" in out
+        outcome = run_coloring_algorithm(
+            algorithm,
+            uniform_deployment(25, 3.0, seed=2),
+            PhysicalParams(alpha=4.0, beta=2.0, rho=2.0).with_r_t(1.0),
+            seed=2,
+            faults=load_fault_plan(path),
+        )
+        assert code == (0 if outcome.clean else 1)
 
     def test_bad_plan_exits_two_with_message(self, tmp_path, capsys):
         path = self._plan(tmp_path, payload={"schema": "wrong/9"})
