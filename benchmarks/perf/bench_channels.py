@@ -17,11 +17,9 @@ Run it from the repository root::
 plain ``python benchmarks/perf/bench_channels.py`` also works.)
 
 Timing method: median of R repetitions (R adapted to the per-call cost)
-after one warmup call.  For the SINR channel a third variant is timed with
-the sender-set geometry cache enabled and warm — the steady-state cost of
-frame-periodic schedules (TDMA, SRS).  Every variant's delivery list is
-cross-checked against the seed resolver's before timing; a benchmark that
-measures a wrong answer is worse than none.
+after one warmup call.  Every engine's delivery list is cross-checked
+against the seed resolver's before timing; a benchmark that measures a
+wrong answer is worse than none.
 """
 
 from __future__ import annotations
@@ -100,8 +98,8 @@ def delivery_set(deliveries):
     return {(d.receiver, d.sender, d.payload) for d in deliveries}
 
 
-def bench_one(name, fast_fn, seed_fn, cached_fn=None):
-    """Time fast vs seed (vs warm-cache) paths and verify they agree."""
+def bench_one(name, fast_fn, seed_fn):
+    """Time fast vs seed paths and verify they agree."""
     fast = delivery_set(fast_fn())
     seed = delivery_set(seed_fn())
     if fast != seed:
@@ -116,11 +114,6 @@ def bench_one(name, fast_fn, seed_fn, cached_fn=None):
         "engine_ms": time_callable(lambda: list(fast_fn())) * 1e3,
     }
     row["speedup"] = row["seed_ms"] / row["engine_ms"]
-    if cached_fn is not None:
-        if delivery_set(cached_fn()) != seed:
-            raise AssertionError(f"{name}: cached resolver disagrees with seed")
-        row["engine_cached_ms"] = time_callable(lambda: list(cached_fn())) * 1e3
-        row["cached_speedup"] = row["seed_ms"] / row["engine_cached_ms"]
     return row
 
 
@@ -133,7 +126,6 @@ def run_benchmarks(sizes) -> dict:
         print(f"n={n:5d} k={k:4d} ...", flush=True)
 
         sinr = SINRChannel(positions, params)
-        sinr_cached = SINRChannel(positions, params, cache_slots=1)
         graph = GraphChannel(positions, params.r_t)
         proto = ProtocolChannel(positions, params.r_t, guard=GUARD)
         free = CollisionFreeChannel(positions, params.r_t)
@@ -144,7 +136,6 @@ def run_benchmarks(sizes) -> dict:
                 f"sinr@{n}",
                 lambda: sinr.resolve(transmissions),
                 lambda: seed_sinr_resolve(positions, params, transmissions),
-                lambda: sinr_cached.resolve(transmissions),
             ),
             "graph": bench_one(
                 f"graph@{n}",
@@ -185,19 +176,13 @@ def run_benchmarks(sizes) -> dict:
 def format_report(report: dict) -> str:
     lines = [
         f"{'channel':<16}{'n':>6}{'k':>6}{'seed ms':>10}{'engine ms':>11}"
-        f"{'speedup':>9}{'cached ms':>11}{'cached x':>10}"
+        f"{'speedup':>9}"
     ]
     for row in report["results"]:
-        cached_ms = row.get("engine_cached_ms")
         lines.append(
             f"{row['channel']:<16}{row['n']:>6}{row['k']:>6}"
             f"{row['seed_ms']:>10.3f}{row['engine_ms']:>11.3f}"
             f"{row['speedup']:>8.1f}x"
-            + (
-                f"{cached_ms:>11.3f}{row['cached_speedup']:>9.1f}x"
-                if cached_ms is not None
-                else f"{'-':>11}{'-':>10}"
-            )
         )
     return "\n".join(lines)
 

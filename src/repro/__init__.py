@@ -26,7 +26,6 @@ from __future__ import annotations
 from .algorithms.classical import greedy_coloring, randomized_coloring
 from .coloring import (
     AlgorithmConstants,
-    IndependenceAuditor,
     MWColoringResult,
     reduce_palette,
     reduce_palette_simulated,
@@ -63,6 +62,7 @@ from .geometry import (
     uniform_deployment,
 )
 from .graphs import Coloring, UnitDiskGraph, power_graph
+from .invariants import IndependenceAuditor
 from .mac import (
     TDMASchedule,
     run_slotted_aloha,

@@ -606,9 +606,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                     )
             else:
                 rows.append({"metric": name, "value": snap.get("value")})
-        hit_rate = run.cache_hit_rate
-        if hit_rate is not None:
-            rows.append({"metric": "engine.cache_hit_rate", "value": hit_rate})
         delivery = run.delivery_rate
         if delivery is not None:
             rows.append({"metric": "run.delivery_rate", "value": delivery})

@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-from ..invariants import IndependenceAuditor
 from .constants import AlgorithmConstants
 from .distance_d import run_distance_d_coloring
 from .messages import MsgA, MsgC, MsgR
@@ -26,7 +25,6 @@ from .runner import run_mw_coloring
 
 __all__ = [
     "AlgorithmConstants",
-    "IndependenceAuditor",
     "MWColoringNode",
     "MWColoringResult",
     "MWSharedConfig",

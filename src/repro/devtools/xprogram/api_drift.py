@@ -11,7 +11,10 @@ code that keeps the tests green, so the deep pass cross-checks them:
   not underscore-prefixed) is neither mentioned in ``docs/API.md`` nor
   referenced anywhere outside its defining module — including tests,
   tools, examples and benchmarks: dead public surface.  Either document
-  it or stop exporting it.
+  it or stop exporting it.  A subpackage of a shipped package
+  (``repro.<name>``, reported at its ``__init__.py``) that
+  ``docs/API.md`` never names is the same defect one level up: a whole
+  subsystem no reader can discover.
 
 Matching is deliberately conservative in the flagging direction:
 references are *token-level* (a mention in a comment or docstring
@@ -178,6 +181,24 @@ class ApiDrift(DeepRule):
                     message=(
                         f"documented symbol `{name}` no longer resolves to "
                         f"anything in the program; " + self.rationale
+                    ),
+                )
+
+        for module_name in sorted(program.modules):
+            mod = program.modules[module_name]
+            if (
+                mod.ctx.name == "__init__.py"
+                and module_name.count(".") == 1
+                and module_name not in text
+            ):
+                yield Finding(
+                    path=mod.ctx.relpath,
+                    line=1,
+                    col=1,
+                    code="API002",
+                    message=(
+                        f"package `{module_name}` is never named in "
+                        f"docs/API.md; " + self.rationale
                     ),
                 )
 

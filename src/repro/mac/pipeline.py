@@ -12,10 +12,8 @@ Returns everything a MAC user needs, plus the audit so callers can assert
 rather than trust.
 
 Both the coloring run and the frame audit resolve slots through the shared
-vectorised engine (:mod:`repro.sinr.engine`); downstream users of the
-returned :class:`MacLayer` that replay TDMA frames should construct their
-channels with ``cache_slots=frame_length`` to reuse per-color geometry
-across frames, as :mod:`repro.mac.srs` does.
+vectorised engine (:mod:`repro.sinr.engine`), which computes each slot's
+distances afresh; a replayed frame costs the same on every pass.
 """
 
 from __future__ import annotations

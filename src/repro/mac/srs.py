@@ -131,15 +131,7 @@ def _simulate(
                 n=graph.n,
             )
         )
-    # Sender sets repeat frame after frame (one color class per slot), so
-    # the engine's geometry cache sized to the frame turns every round
-    # after the first into O(n) mask lookups.
-    channel = SINRChannel(
-        graph.positions,
-        params,
-        cache_slots=schedule.frame_length,
-        resolver=resolver,
-    )
+    channel = SINRChannel(graph.positions, params, resolver=resolver)
     fault_channel = None
     if faults is not None:
         fault_channel = FaultyChannel(channel, faults, seed=fault_seed)
@@ -205,9 +197,9 @@ def simulate_uniform_algorithm(
     simulation.  Stops as soon as every instance halts (checked between
     frames) or after ``max_rounds`` frames.
 
-    ``telemetry`` instruments the SINR channel (resolve timings, cache
-    hit/miss — SRS is the showcase workload for the geometry cache) and,
-    with ``telemetry.out`` set, exports the run to JSONL.
+    ``telemetry`` instruments the SINR channel (resolve timings and
+    interference evaluations) and, with ``telemetry.out`` set, exports
+    the run to JSONL.
 
     ``faults`` wraps the channel in a
     :class:`~repro.faults.FaultyChannel` (``fault_seed`` drives its RNG

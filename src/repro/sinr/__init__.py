@@ -6,9 +6,7 @@
   interference semantics: the paper's SINR model, the graph-based model of
   the original MW analysis, and a collision-free oracle.
 * :mod:`repro.sinr.engine` — the shared vectorised channel-resolution
-  engine: one squared-distance computation per (slot, sender set), memoised
-  derived matrices, and an opt-in sender-set geometry cache for
-  frame-periodic schedules.
+  engine: one Gram-expansion squared-distance matrix per slot.
 * :mod:`repro.sinr.sparse` — the grid-bucketed sparse resolver for large
   deployments: exact near-field gain terms plus a certified conservative
   far-field bound (Lemma 3), O(n * deg) instead of O(n^2).
@@ -28,7 +26,7 @@ from .channel import (
     SINRChannel,
     Transmission,
 )
-from .engine import EngineCacheInfo, ResolutionEngine, SlotGeometry, apply_power_law
+from .engine import ResolutionEngine, apply_power_law
 from .interference import InterferenceMeter, received_power, total_interference
 from .params import PhysicalParams
 from .sparse import SparseResolutionEngine
@@ -38,14 +36,12 @@ __all__ = [
     "CollisionFreeChannel",
     "Deliveries",
     "Delivery",
-    "EngineCacheInfo",
     "GraphChannel",
     "InterferenceMeter",
     "PhysicalParams",
     "ProtocolChannel",
     "ResolutionEngine",
     "SINRChannel",
-    "SlotGeometry",
     "SparseResolutionEngine",
     "Transmission",
     "apply_power_law",

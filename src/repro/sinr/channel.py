@@ -25,10 +25,8 @@ ascending, and for each the column of ``senders`` it decoded.
 validation, metrics, and the result, a :class:`Deliveries` sequence
 backed by those arrays.  The dense channels answer the hook through the
 shared :class:`~repro.sinr.engine.ResolutionEngine`: squared distances
-are computed once per (slot, sender set), reception masks are derived in
-a single vectorised pass, and protocols whose sender sets repeat across
-frames (TDMA, SRS) can opt into a slot-level geometry cache via the
-``cache_slots`` constructor argument.
+are computed once per slot and the reception masks are derived from
+them in a single vectorised pass.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .._validation import require_in
 from ..errors import ConfigurationError
 from ..geometry.grid_index import unit_disk_csr
 from ..geometry.point import as_positions
-from .engine import ResolutionEngine, SlotGeometry
+from .engine import ResolutionEngine, apply_power_law
 from .params import PhysicalParams
 from .sparse import SparseResolutionEngine
 
@@ -80,8 +78,8 @@ class Delivery:
 def _frozen(
     receivers: np.ndarray, columns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A reception marked read-only: it is shared across slots (the
-    geometry cache, the empty answer), so no caller may edit it."""
+    """A reception marked read-only: the empty answer is shared across
+    slots, so no caller may edit it."""
     receivers.setflags(write=False)
     columns.setflags(write=False)
     return receivers, columns
@@ -294,9 +292,6 @@ class SINRChannel(Channel):
     contributes, which is exactly what distinguishes this model from the
     graph-based one.
 
-    ``cache_slots`` enables the engine's sender-set geometry cache; frame
-    periodic schedules (TDMA, SRS) should set it to the frame length.
-
     ``resolver`` selects the interference backend.  ``"dense"`` (default)
     is the exact ``(n, k)`` matrix engine above, bit-identical to every
     prior release.  ``"sparse"`` is the grid-bucketed
@@ -311,7 +306,6 @@ class SINRChannel(Channel):
         positions: np.ndarray,
         params: PhysicalParams,
         half_duplex: bool = True,
-        cache_slots: int = 0,
         resolver: str = "dense",
     ) -> None:
         super().__init__(positions, half_duplex)
@@ -323,12 +317,11 @@ class SINRChannel(Channel):
             self._sparse = SparseResolutionEngine(
                 self._positions, params, half_duplex=half_duplex
             )
-        self._engine = ResolutionEngine(self._positions, cache_slots=cache_slots)
+        self._engine = ResolutionEngine(self._positions)
         floor = self._near_field_floor()
         self._floor_sq = floor * floor
         self._r_t_sq = params.r_t * params.r_t
         self._rows = np.arange(self.n)
-        self._derive_key = ("sinr", self._half_duplex)
 
     @property
     def params(self) -> PhysicalParams:
@@ -360,80 +353,33 @@ class SINRChannel(Channel):
         """
         return self._params.r_t * 1e-6
 
-    def signal_matrix(self, senders: np.ndarray) -> np.ndarray:
-        """Received-power matrix, shape ``(n, len(senders))``.
-
-        Entry ``[u, j]`` is ``P / delta(u, senders[j])^alpha`` (distances
-        clamped by the near-field floor); a sender's own row entry is 0
-        (its own signal is not interference to itself and it cannot receive
-        while transmitting anyway).  Returns a private copy — the engine's
-        internal matrices are frozen.
-        """
-        senders = np.asarray(senders, dtype=np.intp)
-        if senders.size == 0:
-            return np.zeros((self.n, 0))
-        return self._power_of(self._engine.geometry(senders)).copy()
-
-    def _power_of(self, geometry: SlotGeometry) -> np.ndarray:
-        return geometry.power(self._params.power, self._params.alpha, self._floor_sq)
-
-    def _reception_of(self, geometry: SlotGeometry) -> tuple[np.ndarray, np.ndarray]:
-        """``(receivers, decoded column)`` for this sender set.
-
-        Payload-independent, so memoised on the geometry: frame-periodic
-        schedules resolve repeated sender sets in O(n) after the first
-        frame.
-        """
-
-        def compute() -> tuple[np.ndarray, np.ndarray]:
-            params = self._params
-            power = self._power_of(geometry)
-            total = power.sum(axis=1)
-
-            # Strongest sender per receiver; with beta >= 1 it is the only
-            # possibly-decodable one.
-            best_col = power.argmax(axis=1)
-            rows = self._rows
-            best_power = power[rows, best_col]
-            interference = total - best_power
-
-            decodable = best_power >= params.beta * (params.noise + interference)
-            in_range = geometry.dist_sq[rows, best_col] <= self._r_t_sq
-            receiving = decodable & in_range & (best_power > 0)
-            if self._half_duplex:
-                receiving[geometry.senders] = False
-            return _selected(receiving, best_col)
-
-        return geometry.derive(self._derive_key, compute)
-
     def _reception(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if senders.size == 0:
             return _NO_RECEPTION
         if self._sparse is not None:
             return _selected(*self._sparse.reception(senders))
-        return self._reception_of(self._engine.geometry(senders))
+        params = self._params
+        dist_sq = self._engine.distance_sq(senders)
+        # Received powers P / max(dist, floor)^alpha; a sender's own
+        # column entry is 0 (its signal is no interference to itself).
+        power = np.maximum(dist_sq, self._floor_sq)
+        apply_power_law(power, params.power, params.alpha)
+        power[senders, np.arange(senders.size)] = 0.0
+        total = power.sum(axis=1)
 
-    def interference_split(
-        self, receiver: int, senders: np.ndarray, boundary: float
-    ) -> tuple[float, float]:
-        """Measured interference at ``receiver`` split at Euclidean ``boundary``.
+        # Strongest sender per receiver; with beta >= 1 it is the only
+        # possibly-decodable one.
+        best_col = power.argmax(axis=1)
+        rows = self._rows
+        best_power = power[rows, best_col]
+        interference = total - best_power
 
-        Returns ``(inside, outside)``: summed received power from senders at
-        distance <= ``boundary`` and > ``boundary`` respectively.  Used by
-        EXP-4 to compare the realised out-of-``I_u`` interference against
-        Lemma 3's bound on its expectation.
-        """
-        senders = np.asarray(senders, dtype=np.intp)
-        senders = senders[senders != receiver]
-        if senders.size == 0:
-            return 0.0, 0.0
-        diff = self._positions[senders] - self._positions[receiver][None, :]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        dist = np.maximum(dist, self._near_field_floor())
-        power = self._params.power / dist**self._params.alpha
-        inside = float(power[dist <= boundary].sum())
-        outside = float(power[dist > boundary].sum())
-        return inside, outside
+        decodable = best_power >= params.beta * (params.noise + interference)
+        in_range = dist_sq[rows, best_col] <= self._r_t_sq
+        receiving = decodable & in_range & (best_power > 0)
+        if self._half_duplex:
+            receiving[senders] = False
+        return _selected(receiving, best_col)
 
 
 class GraphChannel(Channel):
@@ -504,7 +450,6 @@ class ProtocolChannel(Channel):
         radius: float,
         guard: float = 0.5,
         half_duplex: bool = True,
-        cache_slots: int = 0,
     ) -> None:
         super().__init__(positions, half_duplex)
         if radius <= 0:
@@ -513,7 +458,7 @@ class ProtocolChannel(Channel):
             raise ConfigurationError(f"guard must be >= 0, got {guard}")
         self._radius = float(radius)
         self._guard = float(guard)
-        self._engine = ResolutionEngine(self._positions, cache_slots=cache_slots)
+        self._engine = ResolutionEngine(self._positions)
 
     @property
     def reach(self) -> float:
@@ -525,29 +470,22 @@ class ProtocolChannel(Channel):
         """Relative guard-zone width: interference radius is ``(1+guard)*R``."""
         return self._guard
 
-    def _reception_of(self, geometry: SlotGeometry) -> tuple[np.ndarray, np.ndarray]:
-        """``(receivers, nearest column)``: one dense pass, no receiver loop."""
-
-        def compute() -> tuple[np.ndarray, np.ndarray]:
-            masked = geometry.masked_sq()
-            nearest = np.argmin(masked, axis=1)
-            rows = np.arange(self.n)
-            nearest_sq = masked[rows, nearest]
-            guard_radius = (1.0 + self._guard) * self._radius
-            # Exactly one sender (the nearest) inside the guard zone, and
-            # that sender within communication range.
-            in_guard = (masked <= guard_radius * guard_radius).sum(axis=1)
-            receiving = (nearest_sq <= self._radius * self._radius) & (in_guard == 1)
-            if self._half_duplex:
-                receiving[geometry.senders] = False
-            return _selected(receiving, nearest)
-
-        return geometry.derive(f"protocol:{self._half_duplex}", compute)
-
     def _reception(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(receivers, nearest column)``: one dense pass, no receiver loop."""
         if senders.size == 0:
             return _NO_RECEPTION
-        return self._reception_of(self._engine.geometry(senders))
+        masked = _self_masked(self._engine.distance_sq(senders), senders)
+        nearest = np.argmin(masked, axis=1)
+        rows = np.arange(self.n)
+        nearest_sq = masked[rows, nearest]
+        guard_radius = (1.0 + self._guard) * self._radius
+        # Exactly one sender (the nearest) inside the guard zone, and
+        # that sender within communication range.
+        in_guard = (masked <= guard_radius * guard_radius).sum(axis=1)
+        receiving = (nearest_sq <= self._radius * self._radius) & (in_guard == 1)
+        if self._half_duplex:
+            receiving[senders] = False
+        return _selected(receiving, nearest)
 
 
 class CollisionFreeChannel(Channel):
@@ -563,35 +501,38 @@ class CollisionFreeChannel(Channel):
         positions: np.ndarray,
         radius: float,
         half_duplex: bool = True,
-        cache_slots: int = 0,
     ) -> None:
         super().__init__(positions, half_duplex)
         if radius <= 0:
             raise ConfigurationError(f"radius must be > 0, got {radius}")
         self._radius = float(radius)
-        self._engine = ResolutionEngine(self._positions, cache_slots=cache_slots)
+        self._engine = ResolutionEngine(self._positions)
 
     @property
     def reach(self) -> float:
         """Single-hop delivery range."""
         return self._radius
 
-    def _reception_of(self, geometry: SlotGeometry) -> tuple[np.ndarray, np.ndarray]:
-        def compute() -> tuple[np.ndarray, np.ndarray]:
-            masked = geometry.masked_sq()
-            nearest = np.argmin(masked, axis=1)
-            rows = np.arange(self.n)
-            receiving = masked[rows, nearest] <= self._radius * self._radius
-            if self._half_duplex:
-                receiving[geometry.senders] = False
-            return _selected(receiving, nearest)
-
-        return geometry.derive(f"collision_free:{self._half_duplex}", compute)
-
     def _reception(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if senders.size == 0:
             return _NO_RECEPTION
-        return self._reception_of(self._engine.geometry(senders))
+        masked = _self_masked(self._engine.distance_sq(senders), senders)
+        nearest = np.argmin(masked, axis=1)
+        rows = np.arange(self.n)
+        receiving = masked[rows, nearest] <= self._radius * self._radius
+        if self._half_duplex:
+            receiving[senders] = False
+        return _selected(receiving, nearest)
+
+
+def _self_masked(dist_sq: np.ndarray, senders: np.ndarray) -> np.ndarray:
+    """``dist_sq`` with each sender's own column set to ``inf``, in place.
+
+    Nearest-sender channels (protocol, collision-free) must never pick a
+    node as its own nearest sender.
+    """
+    dist_sq[senders, np.arange(senders.size)] = np.inf
+    return dist_sq
 
 
 def _selected(

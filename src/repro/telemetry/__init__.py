@@ -65,8 +65,8 @@ class Telemetry:
         memory (inspect ``telemetry.metrics`` / ``telemetry.profiler``
         after the run).
     metrics:
-        Collect metrics (cache hits, resolve timings, decision
-        histograms).  Off = the registry is disabled and instrumented
+        Collect metrics (resolve timings, interference evaluations,
+        decision histograms).  Off = the registry is disabled and instrumented
         code never attaches.
     profile:
         Attach a :class:`SlotProfiler` to the simulator.

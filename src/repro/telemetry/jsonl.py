@@ -158,18 +158,6 @@ class RunArtifact:
     summary: dict | None = None
 
     @property
-    def cache_hit_rate(self) -> float | None:
-        """Engine geometry-cache hit rate, or None if never measured."""
-        hits = self.metrics.get("engine.cache_hits", {}).get("value")
-        misses = self.metrics.get("engine.cache_misses", {}).get("value")
-        if hits is None and misses is None:
-            return None
-        hits = hits or 0
-        misses = misses or 0
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    @property
     def delivery_rate(self) -> float | None:
         """Deliveries per transmission from the summary, or None."""
         if not self.summary:

@@ -7,7 +7,7 @@ for a metric handle *once* (at attach time) and then calls ``inc`` /
 degrade to a bound no-op call; code that wants to skip even that checks
 :attr:`MetricsRegistry.enabled` and simply never attaches.
 
-Names are free-form dotted strings (``engine.cache_hits``,
+Names are free-form dotted strings (``engine.interference_evaluations``,
 ``channel.resolve_seconds``); asking for the same name twice returns the
 same handle, so independent components can share an accumulator.
 """

@@ -112,11 +112,24 @@ def test_api001_documented_symbol_deleted():
 
 def test_api002_dead_public_export():
     report = deep_lint(root=FIXTURES / "api_drift")
-    hits = [f for f in report.findings if f.code == "API002"]
+    hits = [
+        f for f in report.findings
+        if f.code == "API002" and f.path == "pkg/__init__.py"
+    ]
     assert len(hits) == 1
     assert "orphan_export" in hits[0].message
     # the documented-and-defined symbol is not flagged
     assert not any("`kept`" in f.message for f in report.findings)
+
+
+def test_api002_undocumented_package():
+    report = deep_lint(root=FIXTURES / "api_drift")
+    hits = [
+        f for f in report.findings
+        if f.code == "API002" and f.path == "pkg/hidden/__init__.py"
+    ]
+    assert [(f.line, f.col) for f in hits] == [(1, 1)]
+    assert "`pkg.hidden`" in hits[0].message
 
 
 # -- registry + select/ignore ------------------------------------------------

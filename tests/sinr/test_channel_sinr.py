@@ -133,25 +133,3 @@ class TestValidation:
     def test_reach_is_rt(self, params):
         channel = channel_for([[0, 0]], params)
         assert channel.reach == pytest.approx(params.r_t)
-
-
-class TestInterferenceSplit:
-    def test_split_sums_to_total(self, params):
-        rng = np.random.default_rng(0)
-        positions = rng.uniform(0, 10, size=(30, 2))
-        channel = SINRChannel(positions, params)
-        senders = np.arange(1, 20)
-        inside, outside = channel.interference_split(0, senders, boundary=3.0)
-        diff = positions[senders] - positions[0]
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        total = (params.power / dist**params.alpha).sum()
-        assert inside + outside == pytest.approx(total)
-
-    def test_receiver_excluded(self, params):
-        positions = np.array([[0.0, 0.0], [1.0, 0.0]])
-        channel = SINRChannel(positions, params)
-        inside, outside = channel.interference_split(
-            0, np.array([0, 1]), boundary=2.0
-        )
-        assert inside == pytest.approx(params.power)
-        assert outside == 0.0

@@ -54,6 +54,18 @@ class TestInterferenceMeter:
             params.power / 5**params.alpha
         )
 
+    def test_receiver_excluded(self, params):
+        # a receiver's own transmission is no interference to itself
+        meter = InterferenceMeter(
+            params=params,
+            positions=np.array([[0.0, 0.0], [1.0, 0.0]]),
+            receivers=np.array([0]),
+            boundary=2.0,
+        )
+        meter.observe(np.array([0, 1]))
+        assert meter.mean_inside() == pytest.approx(params.power)
+        assert meter.mean_outside() == 0.0
+
     def test_default_boundary_is_ri(self, params):
         meter = InterferenceMeter(
             params=params, positions=np.zeros((1, 2)), receivers=np.array([0])

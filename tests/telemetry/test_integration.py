@@ -5,7 +5,14 @@ import pytest
 
 from repro import PhysicalParams, uniform_deployment
 from repro.analysis.protocol_stats import trace_statistics
+from repro.algorithms.classical import greedy_coloring
 from repro.coloring.runner import run_mw_coloring
+from repro.graphs.power import power_graph
+from repro.graphs.udg import UnitDiskGraph
+from repro.mac.srs import simulate_uniform_algorithm
+from repro.mac.tdma import TDMASchedule
+from repro.messaging.algorithms import FloodingBroadcast
+from repro.messaging.model import UniformAlgorithm
 from repro.sinr.channel import SINRChannel, Transmission
 from repro.telemetry import MetricsRegistry, Telemetry, read_run
 
@@ -39,6 +46,41 @@ class TestDeterminism:
         assert observed.stats == plain.stats
 
 
+class Beacon(UniformAlgorithm):
+    """Broadcasts in each of ``rounds`` rounds: every frame repeats the
+    same sender set in every slot."""
+
+    def __init__(self, rounds: int) -> None:
+        self._rounds = rounds
+        self._sent = 0
+
+    def send(self, round_index: int) -> str:
+        self._sent = round_index + 1
+        return "beacon"
+
+    @property
+    def halted(self) -> bool:
+        return self._sent >= self._rounds
+
+
+def run_srs(params, telemetry, algorithm=lambda: FloodingBroadcast(source=0)):
+    """A 30-node SRS run over one TDMA frame repeated every round."""
+    deployment = uniform_deployment(n=30, extent=4.0, seed=5)
+    graph = UnitDiskGraph(deployment.positions, params.r_t)
+    assert graph.is_connected()
+    schedule = TDMASchedule(
+        greedy_coloring(power_graph(graph, params.mac_distance + 1))
+    )
+    return simulate_uniform_algorithm(
+        graph,
+        [algorithm() for _ in range(graph.n)],
+        schedule,
+        params,
+        max_rounds=50,
+        telemetry=telemetry,
+    )
+
+
 class TestDisabledFastPath:
     def test_disabled_metrics_never_attach(self, deployment, params):
         channel = SINRChannel(deployment.positions, params)
@@ -56,8 +98,8 @@ class TestDisabledFastPath:
         snapshot = registry.snapshot()
         assert snapshot["channel.resolve_calls"]["value"] == 1
         assert snapshot["channel.transmissions"]["value"] == 1
-        assert snapshot["engine.cache_misses"]["value"] == 1
-        assert snapshot["engine.interference_evaluations"]["value"] > 0
+        # one (n, 1) distance build for the one-sender slot
+        assert snapshot["engine.interference_evaluations"]["value"] == deployment.n
 
     def test_telemetry_off_bundle_exports_nothing(self, deployment, params):
         telemetry = Telemetry(out=None, metrics=False, profile=False, trace=False)
@@ -100,31 +142,22 @@ class TestJsonlRoundTrip:
         assert run.profile_summary()["slots"] == telemetry.profiler.slots
 
     def test_srs_export(self, tmp_path, params):
-        from repro.algorithms.classical import greedy_coloring
-        from repro.graphs.power import power_graph
-        from repro.graphs.udg import UnitDiskGraph
-        from repro.mac.srs import simulate_uniform_algorithm
-        from repro.mac.tdma import TDMASchedule
-        from repro.messaging.algorithms import FloodingBroadcast
-
-        deployment = uniform_deployment(n=30, extent=4.0, seed=5)
-        graph = UnitDiskGraph(deployment.positions, params.r_t)
-        assert graph.is_connected()
-        schedule = TDMASchedule(
-            greedy_coloring(power_graph(graph, params.mac_distance + 1))
-        )
         out = tmp_path / "srs.jsonl"
-        report = simulate_uniform_algorithm(
-            graph,
-            [FloodingBroadcast(source=0) for _ in range(graph.n)],
-            schedule,
-            params,
-            max_rounds=50,
-            telemetry=Telemetry(out=out),
-        )
+        report = run_srs(params, Telemetry(out=out))
         run = read_run(out)
         assert run.command == "srs"
         assert run.summary["rounds"] == report.rounds
         assert run.summary["lost_deliveries"] == report.lost_deliveries
         assert run.metrics["srs.rounds"]["value"] == report.rounds
         assert run.delivery_rate is not None
+
+    def test_srs_builds_distances_for_every_resolved_slot(self, params):
+        # every non-empty slot of every repeated frame builds its own
+        # (n, k) matrix: n * sum(k) evaluations over the whole run
+        telemetry = Telemetry()
+        report = run_srs(params, telemetry, algorithm=lambda: Beacon(rounds=4))
+        assert report.rounds == 4
+        snapshot = telemetry.metrics.snapshot()
+        sent = snapshot["channel.transmissions"]["value"]
+        assert sent > 0
+        assert snapshot["engine.interference_evaluations"]["value"] == 30 * sent

@@ -36,6 +36,7 @@ def test_write_after_close_raises(tmp_path):
 def test_read_run_round_trips_all_record_kinds(tmp_path):
     path = tmp_path / "run.jsonl"
     registry = MetricsRegistry()
+    # counters of the removed geometry cache, as older artifacts carry
     registry.counter("engine.cache_hits").inc(3)
     registry.counter("engine.cache_misses").inc(1)
     profiler = SlotProfiler()
@@ -58,7 +59,6 @@ def test_read_run_round_trips_all_record_kinds(tmp_path):
     assert run.rows == [{"a": 1}]
     assert run.metrics["engine.cache_hits"]["value"] == 3
     assert run.summary == {"transmissions": 4, "deliveries": 2}
-    assert run.cache_hit_rate == pytest.approx(0.75)
     assert run.delivery_rate == pytest.approx(0.5)
 
 

@@ -13,10 +13,8 @@ and verifies each local target exists relative to the file (or the repo
 root).  External URLs (``http(s)://``, ``mailto:``) are ignored — no
 network.  Exits non-zero listing every broken reference.
 
-It also audits the API reference for coverage: every package under
-``src/repro/`` (a directory with an ``__init__.py``) must be mentioned as
-``repro.<package>`` somewhere in ``docs/API.md`` — an undocumented
-subsystem fails CI with a named list.
+Coverage of ``docs/API.md`` (every ``src/repro`` package named there)
+is the deep linter's API002 rule, not this script's.
 
 Run:  python tools/check_docs.py [files...]
 """
@@ -74,26 +72,6 @@ def check_file(path: pathlib.Path) -> list[str]:
     return broken
 
 
-def undocumented_packages() -> list[str]:
-    """``src/repro/*`` packages that ``docs/API.md`` never mentions.
-
-    A package counts as documented when the literal ``repro.<name>``
-    appears anywhere in the API reference (section heading, bullet or
-    import example alike — the check is about discoverability, not
-    formatting).
-    """
-    api = REPO_ROOT / "docs" / "API.md"
-    if not api.exists():
-        return ["docs/API.md missing"]
-    text = api.read_text(encoding="utf-8")
-    missing = []
-    for child in sorted((REPO_ROOT / "src" / "repro").iterdir()):
-        if child.is_dir() and (child / "__init__.py").exists():
-            if f"repro.{child.name}" not in text:
-                missing.append(child.name)
-    return missing
-
-
 def main(argv: list[str]) -> int:
     files = [pathlib.Path(a) for a in argv] if argv else default_files()
     broken: list[str] = []
@@ -107,19 +85,7 @@ def main(argv: list[str]) -> int:
         for entry in broken:
             print(f"  {entry}", file=sys.stderr)
         return 1
-    missing = undocumented_packages()
-    if missing:
-        print(
-            "packages under src/repro/ missing from docs/API.md:",
-            file=sys.stderr,
-        )
-        for name in missing:
-            print(f"  repro.{name}", file=sys.stderr)
-        return 1
-    print(
-        f"OK — {len(files)} files, all local references resolve; "
-        "every src/repro package appears in docs/API.md"
-    )
+    print(f"OK — {len(files)} files, all local references resolve")
     return 0
 
 
