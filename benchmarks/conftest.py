@@ -16,11 +16,12 @@ import pytest
 
 from repro import PhysicalParams
 from repro.analysis.tables import format_table
+from repro.experiments import run_units
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 # REPRO_BENCH_JOBS=N routes bench sweeps through the orchestration layer
-# (N worker processes); unset or 1 keeps the serial run() path.  Rows are
+# (N worker processes); unset or 1 keeps the serial run_units() path.  Rows are
 # identical either way — see docs/ORCHESTRATION.md.
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
@@ -50,7 +51,8 @@ def emit_table():
 def sweep_rows():
     """Run an experiment sweep, sharded across REPRO_BENCH_JOBS workers.
 
-    With the default of one job this is exactly ``module.run(**kwargs)``;
+    With the default of one job this is exactly
+    ``run_units(module.__name__, module.units(**kwargs))``;
     with more it dispatches the same unit list through ``run_sharded`` and
     returns the merged rows, which the determinism contract guarantees to
     be identical.
@@ -58,7 +60,7 @@ def sweep_rows():
 
     def run(module, experiment: str, **unit_kwargs):
         if BENCH_JOBS <= 1:
-            return module.run(**unit_kwargs)
+            return run_units(module.__name__, module.units(**unit_kwargs))
         from repro.orchestration import merged_rows, run_sharded
 
         result = run_sharded(

@@ -55,7 +55,8 @@ except ImportError:  # pragma: no cover
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments import exp01_colors_vs_delta as exp1
-from repro.experiments._units import grid_units, run_units
+from repro.experiments import run_units
+from repro.experiments._units import grid_units
 from repro.orchestration import merged_rows, run_sharded
 
 OUT = HERE / "BENCH_orchestration.json"
@@ -82,11 +83,6 @@ def wait_unit(seed: int, index: int, wait_s: float) -> dict:
 def units(seeds=(0,), indices=range(16), wait_s: float = 0.5) -> list[dict]:
     """Shardable wait units, same canonical order as a grid sweep."""
     return grid_units("wait_unit", {"index": list(indices)}, seeds, wait_s=wait_s)
-
-
-def run(seeds=(0,), indices=range(16), wait_s: float = 0.5) -> list[dict]:
-    """Serial baseline for the wait sweep."""
-    return run_units(MODULE, units(seeds, indices, wait_s))
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +138,14 @@ def main(argv=None) -> int:
     results = [
         _measure(
             "exp1 multi-seed density sweep (cpu-bound)",
-            lambda: exp1.run(**exp1_kwargs),
+            lambda: run_units(exp1.__name__, exp1.units(**exp1_kwargs)),
             "exp1",
             jobs=args.jobs,
             unit_kwargs=exp1_kwargs,
         ),
         _measure(
             "latency-bound sweep (orchestration scaling)",
-            lambda: run(**wait_kwargs),
+            lambda: run_units(MODULE, units(**wait_kwargs)),
             "wait",
             jobs=args.jobs,
             unit_kwargs=wait_kwargs,

@@ -53,7 +53,7 @@ try:  # allow running without PYTHONPATH=src
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments._units import grid_units, run_units
+from repro.experiments._units import grid_units
 from repro.service import ServiceApp, make_server
 
 OUT = HERE / "BENCH_service.json"
@@ -82,11 +82,6 @@ def run_single(seed: int, x: int) -> dict:
 def units(seeds=(0,), xs=(1,)) -> list[dict]:
     """Shardable units, canonical grid order."""
     return grid_units("run_single", {"x": list(xs)}, seeds)
-
-
-def run(seeds=(0,), xs=(1,)) -> list[dict]:
-    """Serial twin (unused by the bench, present for module parity)."""
-    return run_units(MODULE, units(seeds, xs))
 
 
 def check(rows) -> None:

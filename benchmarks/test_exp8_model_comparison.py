@@ -6,12 +6,13 @@ from conftest import once
 
 from repro.analysis.metrics import aggregate_rows
 from repro.experiments import exp08_model_comparison as exp
+from repro.experiments import run_units
 
 SEEDS = [0, 1, 2]
 
 
 def test_exp8_model_comparison(benchmark, emit_table):
-    rows = exp.run(seeds=SEEDS, channels=["graph"])
+    rows = run_units(exp.__name__, exp.units(seeds=SEEDS, channels=["graph"]))
     rows.append(once(benchmark, exp.run_single, SEEDS[0], "sinr"))
     for seed in SEEDS[1:]:
         rows.append(exp.run_single(seed, "sinr"))

@@ -2,10 +2,10 @@
 """Drive the claim-validation experiments programmatically.
 
 Every experiment of EXPERIMENTS.md is a library call (`repro.experiments`):
-``run_single`` for one configuration, ``run`` for the sweep, ``check`` for
-the paper's acceptance criteria.  This walkthrough runs three of them at
-reduced size and prints their tables — the same rows the pytest benches
-persist under ``benchmarks/results/``.
+``run_single`` for one configuration, ``units`` for the sweep (run it with
+``run_units``), ``check`` for the paper's acceptance criteria.  This
+walkthrough runs three of them at reduced size and prints their tables —
+the same rows the pytest benches persist under ``benchmarks/results/``.
 
 Run:  python examples/experiment_walkthrough.py
 """
@@ -16,6 +16,7 @@ from repro.experiments import (
     exp05_tdma_mac,
     exp07_palette_reduction,
     exp10_physical_sweep,
+    run_units,
 )
 
 
@@ -30,7 +31,8 @@ def main() -> None:
     print("EXP-5 check passed\n")
 
     # EXP-7: palette reduction to Delta+1.
-    rows = exp07_palette_reduction.run(seeds=[0])
+    rows = run_units(exp07_palette_reduction.__name__,
+                     exp07_palette_reduction.units(seeds=[0]))
     print(format_table(rows, columns=exp07_palette_reduction.COLUMNS,
                        title=exp07_palette_reduction.TITLE))
     exp07_palette_reduction.check(rows)

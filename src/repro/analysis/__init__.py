@@ -1,4 +1,4 @@
-"""Analysis utilities: theoretical predictions, metrics, sweeps, tables."""
+"""Analysis utilities: theoretical predictions, metrics, tables."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from .metrics import aggregate_rows, coloring_row, fit_shape
 from .protocol_stats import ProtocolStats, trace_statistics
 from .render import render_coloring, render_deployment
 from .spatial import LinkBudget, link_budget, link_budgets, weakest_links
-from .sweep import sweep
 from .tables import format_table, print_table
 from .theory import (
     lemma3_interference_bound,
@@ -34,7 +33,6 @@ __all__ = [
     "render_coloring",
     "render_deployment",
     "simulation_slot_bound",
-    "sweep",
     "time_bound_shape",
     "trace_statistics",
     "weakest_links",

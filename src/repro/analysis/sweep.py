@@ -1,24 +1,20 @@
-"""A tiny deterministic parameter-sweep harness.
+"""The canonical iteration order of a parameter sweep.
 
-Experiments are grids of configurations crossed with seeds; :func:`sweep`
-runs a row-producing function over the full cross product and collects the
-rows.  Keeping this in the library (rather than ad hoc loops in each bench)
-makes every experiment's iteration order, seeding and row format uniform.
-
-:func:`enumerate_combos` is the single source of truth for that iteration
-order: the serial :func:`sweep` loop and the shard planner in
-:mod:`repro.orchestration` both consume it, which is what guarantees a
-parallel sweep merges back into a row-for-row identical table.
+Experiments are grids of configurations crossed with seeds.
+:func:`enumerate_combos` is the single source of truth for the order in
+which that cross product is visited: every experiment's ``units()``
+builds its unit list through it (via
+:func:`repro.experiments._units.grid_units`), so the serial
+``run_units`` path and the shard planner in :mod:`repro.orchestration`
+see the same rows in the same order.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from ..errors import ConfigurationError
-
-__all__ = ["enumerate_combos", "sweep"]
+__all__ = ["enumerate_combos"]
 
 
 def enumerate_combos(
@@ -29,9 +25,8 @@ def enumerate_combos(
 
     The order is the row-major cross product of the grid axes (axes in
     ``grid``'s own key order, each axis in its given element order) with
-    the seed loop innermost — exactly the order :func:`sweep` has always
-    used.  An empty grid yields one empty combo per seed, so seed-only
-    sweeps enumerate through the same path.
+    the seed loop innermost.  An empty grid yields one empty combo per
+    seed, so seed-only sweeps enumerate through the same path.
 
     Each yielded ``combo`` is a fresh dict, safe to mutate.
     """
@@ -40,35 +35,3 @@ def enumerate_combos(
     for combo in itertools.product(*axes):
         for seed in seeds:
             yield dict(zip(keys, combo)), seed
-
-
-def sweep(
-    run: Callable[..., dict | list[dict] | None],
-    grid: Mapping[str, Iterable],
-    seeds: Iterable[int] = (0,),
-    progress: Callable[[str], None] | None = None,
-) -> list[dict]:
-    """Run ``run(seed=s, **combo)`` over the grid x seeds cross product.
-
-    ``run`` returns a row dict, a list of row dicts, or None (skipped
-    combination).  Each returned row is annotated with the combo's
-    parameters and the seed (without overwriting keys ``run`` set itself).
-    """
-    if not grid:
-        raise ConfigurationError("sweep grid must have at least one axis")
-    seeds = list(seeds)
-    rows: list[dict] = []
-    for combo, seed in enumerate_combos(grid, seeds):
-        if progress is not None:
-            progress(f"{combo} seed={seed}")
-        produced = run(seed=seed, **combo)
-        if produced is None:
-            continue
-        if isinstance(produced, dict):
-            produced = [produced]
-        for row in produced:
-            annotated = dict(combo)
-            annotated["seed"] = seed
-            annotated.update(row)
-            rows.append(annotated)
-    return rows

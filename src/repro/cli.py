@@ -105,21 +105,6 @@ def _faults_from(args: argparse.Namespace) -> FaultPlan | None:
     return load_fault_plan(path)
 
 
-def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sharded parallel path",
-    )
-    parser.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="run-store directory; completed shards persist here",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="skip shards already persisted in --store",
-    )
-
-
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry-out",
@@ -377,8 +362,8 @@ def _cmd_srs(args: argparse.Namespace) -> int:
     return 0 if report.exact and report.halted else 1
 
 
-def _run_orchestrated(args: argparse.Namespace) -> int:
-    """Shared parallel path for ``sweep`` and orchestrated ``experiment``.
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Run an experiment as a sharded parallel sweep.
 
     Runs the sweep sharded over a process pool, merges the shards back in
     canonical order (row-for-row identical to the serial run), applies
@@ -404,16 +389,16 @@ def _run_orchestrated(args: argparse.Namespace) -> int:
     result = run_sharded(
         args.id,
         jobs=args.jobs,
-        shard_size=getattr(args, "shard_size", 1),
+        shard_size=args.shard_size,
         unit_kwargs={"seeds": range(args.seeds)},
         store=store,
         resume=args.resume,
-        timeout_s=getattr(args, "timeout", None),
-        retries=getattr(args, "retries", 1),
+        timeout_s=args.timeout,
+        retries=args.retries,
         progress=lambda message: print(message, file=sys.stderr),
         install_sigint=True,
         faults=plan,
-        algorithm=getattr(args, "algorithm", None),
+        algorithm=args.algorithm,
     )
     if result.interrupted:
         print("sweep interrupted; finish it with --resume", file=sys.stderr)
@@ -444,7 +429,7 @@ def _run_orchestrated(args: argparse.Namespace) -> int:
         except AssertionError as failure:
             print(f"CHECK FAILED: {failure}", file=sys.stderr)
             exit_code = 1
-    out = getattr(args, "telemetry_out", None)
+    out = args.telemetry_out
     if out is not None:
         meta = {
             "command": "sweep",
@@ -460,38 +445,20 @@ def _run_orchestrated(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_orchestrated(args)
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    import inspect
     from time import perf_counter
 
-    from .experiments import REGISTRY
-
-    if args.jobs > 1 or args.store or args.resume:
-        return _run_orchestrated(args)
+    from .experiments import REGISTRY, run_units
+    from .orchestration import plan_sweep
 
     module = REGISTRY[args.id]
     start = perf_counter()  # repro: noqa[DET001] wall-clock provenance only; rows are unaffected
-    parameters = inspect.signature(module.run).parameters
-    run_kwargs: dict = {}
-    if "seeds" in parameters:
-        run_kwargs["seeds"] = range(args.seeds)
-    # some experiments sweep other axes (e.g. exp10's (alpha, beta) grid);
-    # inspecting the signature instead of catching TypeError keeps a
-    # TypeError raised *inside* run() loud instead of silently rerunning
-    # the sweep with default parameters
-    algorithm = getattr(args, "algorithm", None)
-    if algorithm is not None:
-        if "algorithm" not in parameters:
-            raise ConfigurationError(
-                f"experiment {args.id!r} has no --algorithm axis; only "
-                "registry-backed experiments (exp14) accept it"
-            )
-        run_kwargs["algorithm"] = algorithm
-    rows = module.run(**run_kwargs)
+    plan = plan_sweep(
+        args.id,
+        unit_kwargs={"seeds": range(args.seeds)},
+        algorithm=args.algorithm,
+    )
+    rows = run_units(plan.module, plan.units)
     elapsed = perf_counter() - start  # repro: noqa[DET001] wall-clock provenance only; rows are unaffected
     print(format_table(rows, columns=module.COLUMNS, title=module.TITLE))
     check_passed = None
@@ -708,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-check", action="store_true", help="print rows without asserting"
     )
     _add_algorithm_args(experiment)
-    _add_orchestration_args(experiment)
     _add_telemetry_args(experiment)
     experiment.set_defaults(func=_cmd_experiment)
 
@@ -730,7 +696,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--no-check", action="store_true", help="print rows without asserting"
     )
-    _add_orchestration_args(sweep_cmd)
+    sweep_cmd.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes for the sharded parallel path",
+    )
+    sweep_cmd.add_argument(
+        "--store", metavar="DIR", default=None,
+        help="run-store directory; completed shards persist here",
+    )
+    sweep_cmd.add_argument(
+        "--resume", action="store_true",
+        help="skip shards already persisted in --store",
+    )
     sweep_cmd.add_argument(
         "--shard-size", type=int, default=1, metavar="UNITS",
         help="units per shard (1 = finest resume granularity)",

@@ -2,12 +2,11 @@
 
 The orchestration layer treats every ``experiments/exp*.py`` module as a
 plug-in with a fixed surface: presentation metadata (``TITLE``,
-``COLUMNS``), the sweep axes (``GRID``), the unit decomposition
-(``units()``), the serial runner (``run()``, which must delegate to
-``run_units`` so serial/parallel parity holds by construction) and the
-claim check (``check()``).  A module that drifts from the contract still
-imports fine — it just breaks ``repro sweep`` at runtime; these rules
-move that discovery to lint time.
+``COLUMNS``), the sweep as a unit list (``units()``, which
+``run_units`` runs serially and the orchestrator shards) and the claim
+check (``check()``).  A module that drifts from the contract still
+imports fine — it just breaks ``repro sweep`` at runtime; this rule
+moves that discovery to lint time.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Iterator
 from ..findings import Finding
 from ..framework import FileContext, Rule, rule
 
-_REQUIRED = ("GRID", "TITLE", "COLUMNS", "units", "run", "check")
+_REQUIRED = ("TITLE", "COLUMNS", "units", "check")
 
 
 def _is_experiment_module(ctx: FileContext) -> bool:
@@ -43,27 +42,13 @@ def _top_level_names(tree: ast.Module) -> dict[str, ast.stmt]:
     return names
 
 
-def _function(tree: ast.Module, name: str) -> ast.FunctionDef | None:
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
-    return None
-
-
-def _parameter_names(func: ast.FunctionDef) -> tuple[str, ...]:
-    args = func.args
-    return tuple(
-        arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-    )
-
-
 @rule
 class ExperimentExports(Rule):
     code = "EXP001"
     name = "experiment modules export the full contract"
     rationale = (
         "generic drivers (CLI, sweep orchestrator, benches) address "
-        "every experiment through GRID/TITLE/COLUMNS/units/run/check; "
+        "every experiment through TITLE/COLUMNS/units/check; "
         "a missing export breaks them at runtime"
     )
 
@@ -79,65 +64,3 @@ class ExperimentExports(Rule):
                     f"experiment module does not define `{required}`; "
                     + self.rationale,
                 )
-
-
-@rule
-class RunDelegatesToUnits(Rule):
-    code = "EXP002"
-    name = "run() delegates to run_units"
-    rationale = (
-        "serial/parallel parity holds by construction only while the "
-        "serial run() executes the exact unit list the orchestrator "
-        "shards; a hand-rolled loop in run() can drift silently"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not _is_experiment_module(ctx) or ctx.tree is None:
-            return
-        run = _function(ctx.tree, "run")
-        if run is None:
-            return  # EXP001's finding
-        for node in ast.walk(run):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr
-                    if isinstance(func, ast.Attribute)
-                    else None
-                )
-                if called == "run_units":
-                    return
-        yield self.finding(
-            ctx, run, "run() never calls run_units(); " + self.rationale
-        )
-
-
-@rule
-class RunUnitsSignatureParity(Rule):
-    code = "EXP003"
-    name = "run() and units() take the same parameters"
-    rationale = (
-        "run(**kwargs) forwards its arguments to units(**kwargs) — the "
-        "orchestrator builds shards from units() with the caller's "
-        "kwargs, so a signature drift desynchronises serial and "
-        "parallel sweeps"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not _is_experiment_module(ctx) or ctx.tree is None:
-            return
-        units = _function(ctx.tree, "units")
-        run = _function(ctx.tree, "run")
-        if units is None or run is None:
-            return  # EXP001's finding
-        units_params = _parameter_names(units)
-        run_params = _parameter_names(run)
-        if units_params != run_params:
-            yield self.finding(
-                ctx,
-                run,
-                f"run() parameters {list(run_params)} differ from units() "
-                f"parameters {list(units_params)}; " + self.rationale,
-            )

@@ -1,20 +1,23 @@
-"""Programmatic experiment runners (EXP-1 .. EXP-13).
+"""Programmatic experiment runners (EXP-1 .. EXP-14).
 
 Every claim-validation experiment of EXPERIMENTS.md is available as a
 library call, not only as a bench: each module exposes
 
 * ``TITLE`` / ``COLUMNS`` — presentation metadata,
 * ``run_single(seed, ...)`` — one configuration, one row (or row list),
-* ``run(seeds=...)`` — the full sweep, returning table rows,
+* ``units(seeds=...)`` — the full sweep as a list of work units, the one
+  definition of the experiment's grid,
 * ``check(rows)`` — the claim's acceptance criteria (raises AssertionError
   with context when the measured shape contradicts the paper).
 
-The pytest benches under ``benchmarks/`` are thin harnesses over these
-functions (they add wall-clock timing and persist the tables); notebooks
-and scripts can call them directly:
+:func:`run_units` executes a unit list serially and
+:func:`repro.orchestration.run_sharded` shards the same list over worker
+processes.  The pytest benches under ``benchmarks/`` are thin harnesses
+over these functions (they add wall-clock timing and persist the
+tables); notebooks and scripts can call them directly:
 
-    from repro.experiments import exp05_tdma_mac as exp5
-    rows = exp5.run(seeds=[0, 1])
+    from repro.experiments import exp05_tdma_mac as exp5, run_units
+    rows = run_units(exp5.__name__, exp5.units(seeds=[0, 1]))
     exp5.check(rows)
 
 ``REGISTRY`` maps experiment ids to modules for generic drivers (such as
@@ -39,6 +42,7 @@ from . import (
     exp13_wakeup_patterns,
     exp14_arena,
 )
+from ._units import run_units
 
 REGISTRY = {
     "exp1": exp01_colors_vs_delta,
@@ -73,4 +77,5 @@ __all__ = [
     "exp12_unknown_delta",
     "exp13_wakeup_patterns",
     "exp14_arena",
+    "run_units",
 ]

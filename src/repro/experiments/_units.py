@@ -1,11 +1,11 @@
 """Shardable work units for the experiment modules.
 
 Every experiment exposes ``units(...)`` — the sweep decomposed into
-independent single-configuration calls, in exactly the order its serial
-``run(...)`` emits rows.  ``run`` is then *implemented* by executing the
-units in order, so serial/parallel parity holds by construction: the
-orchestration layer (:mod:`repro.orchestration`) ships the same units to
-worker processes and merges the results back in unit order.
+independent single-configuration calls, in canonical row order, and the
+only definition of the sweep.  :func:`run_units` executes the units in
+order; the orchestration layer (:mod:`repro.orchestration`) ships the
+same units to worker processes and merges the results back in unit
+order, so serial/parallel parity holds by construction.
 
 A unit is a plain dict — ``{"func": <module attribute>, "kwargs": {...}}``
 — so it pickles to worker processes and hashes into a run-store key
@@ -67,9 +67,9 @@ def expand_unit(module_name: str, work: dict) -> list[dict]:
 def run_units(module_name: str, units: Iterable[dict]) -> list[dict]:
     """Execute ``units`` in order and concatenate their rows.
 
-    This is the body of every experiment's serial ``run()``; the parallel
-    path executes the same units shard by shard and merges in the same
-    order.
+    The serial way to run an experiment:
+    ``run_units(exp.__name__, exp.units(...))``.  The parallel path
+    executes the same units shard by shard and merges in the same order.
     """
     rows: list[dict] = []
     for work in units:

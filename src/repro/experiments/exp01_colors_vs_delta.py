@@ -12,7 +12,7 @@ from typing import Sequence
 from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import uniform_deployment
 from .._validation import require_int
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-1: palette size vs Delta (Theorem 2, O(Delta) colors)"
 COLUMNS = [
@@ -22,16 +22,10 @@ COLUMNS = [
 DEFAULT_EXTENTS = (9.0, 6.5, 5.0, 4.2)
 DEFAULT_N = 100
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {"extent": DEFAULT_EXTENTS}
-
 __all__ = [
     "COLUMNS",
-    "GRID",
     "TITLE",
     "check",
-    "run",
     "run_single",
     "units",
 ]
@@ -61,17 +55,8 @@ def units(
     extents: Sequence[float] = DEFAULT_EXTENTS,
     n: int = DEFAULT_N,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {"extent": extents}, seeds, n=n)
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    extents: Sequence[float] = DEFAULT_EXTENTS,
-    n: int = DEFAULT_N,
-) -> list[dict]:
-    """The full density sweep."""
-    return run_units(__name__, units(seeds, extents, n))
 
 
 def check(rows: Sequence[dict]) -> None:

@@ -13,7 +13,7 @@ from ..analysis.metrics import fit_shape
 from ..analysis.theory import time_bound_shape
 from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import uniform_deployment
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE_VS_N = "EXP-2a: slots vs n at constant density (Theorem 2, ln n factor)"
 TITLE_VS_DELTA = "EXP-2b: slots vs Delta at fixed n (Theorem 2, Delta factor)"
@@ -21,18 +21,12 @@ TITLE = TITLE_VS_N
 COLUMNS = ["seed", "delta", "shape", "slots", "slots_per_shape", "completed", "proper"]
 DENSITY = 100 / 36.0  # nodes per unit^2 of the n=100, extent-6 baseline
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {"n": (50, 100, 200), "extent": (9.0, 6.5, 5.0)}
-
 __all__ = [
     "COLUMNS",
-    "GRID",
     "TITLE",
     "TITLE_VS_DELTA",
     "TITLE_VS_N",
     "check",
-    "run",
     "run_single",
     "run_single_fixed_n",
     "units",
@@ -79,19 +73,10 @@ def units(
     ns: Sequence[int] = (50, 100, 200),
     extents: Sequence[float] = (9.0, 6.5, 5.0),
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {"n": ns}, seeds) + grid_units(
         "run_single_fixed_n", {"extent": extents}, seeds
     )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    ns: Sequence[int] = (50, 100, 200),
-    extents: Sequence[float] = (9.0, 6.5, 5.0),
-) -> list[dict]:
-    """Both sweeps; rows carry either an ``n`` or an ``extent`` column."""
-    return run_units(__name__, units(seeds, ns, extents))
 
 
 def check(rows: Sequence[dict]) -> None:

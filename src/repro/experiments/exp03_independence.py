@@ -12,7 +12,7 @@ from typing import Sequence
 from .._validation import require_in
 from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import clustered_deployment, uniform_deployment
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-3: Theorem 1 independence audit (violations per run)"
 COLUMNS = [
@@ -21,11 +21,7 @@ COLUMNS = [
 ]
 FAMILIES = ("uniform", "clustered")
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {"family": FAMILIES}
-
-__all__ = ["COLUMNS", "GRID", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "TITLE", "check", "run_single", "units"]
 
 
 def run_single(seed: int, family: str) -> dict:
@@ -56,16 +52,8 @@ def units(
     seeds: Sequence[int] = (0, 1, 2),
     families: Sequence[str] = FAMILIES,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {"family": families}, seeds)
-
-
-def run(
-    seeds: Sequence[int] = (0, 1, 2),
-    families: Sequence[str] = FAMILIES,
-) -> list[dict]:
-    """The full family x seed sweep."""
-    return run_units(__name__, units(seeds, families))
 
 
 def check(rows: Sequence[dict]) -> None:

@@ -15,7 +15,7 @@ from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import uniform_deployment
 from ..sinr.interference import InterferenceMeter
 from ..sinr.params import PhysicalParams
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-4: out-of-boundary interference vs Lemma 3 bound"
 COLUMNS = [
@@ -24,11 +24,7 @@ COLUMNS = [
 ]
 DEFAULT_BOUNDARIES = (2.0, 4.0, 8.0)
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {}
-
-__all__ = ["COLUMNS", "GRID", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "TITLE", "check", "run_single", "units"]
 
 
 class _MeterBank:
@@ -83,15 +79,8 @@ def run_single(
 def units(
     seeds: Sequence[int] = (0, 1), params: PhysicalParams | None = None
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {}, seeds, params=params)
-
-
-def run(
-    seeds: Sequence[int] = (0, 1), params: PhysicalParams | None = None
-) -> list[dict]:
-    """The full seed sweep."""
-    return run_units(__name__, units(seeds, params))
 
 
 def check(rows: Sequence[dict]) -> None:

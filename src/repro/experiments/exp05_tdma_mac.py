@@ -18,7 +18,7 @@ from ..mac.aloha import run_slotted_aloha
 from ..mac.tdma import TDMASchedule
 from ..invariants import verify_tdma_broadcast
 from ..sinr.params import PhysicalParams
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-5: TDMA audit (Theorem 3)"
 COLUMNS = [
@@ -28,11 +28,7 @@ COLUMNS = [
 DEFAULT_N = 130
 DEFAULT_EXTENT = 7.0
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {}
-
-__all__ = ["COLUMNS", "GRID", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "TITLE", "check", "run_single", "units"]
 
 
 def _audit_distance(graph, params, k: float) -> dict:
@@ -85,15 +81,8 @@ def run_single(
 def units(
     seeds: Sequence[int] = (0, 1), params: PhysicalParams | None = None
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {}, seeds, params=params)
-
-
-def run(
-    seeds: Sequence[int] = (0, 1), params: PhysicalParams | None = None
-) -> list[dict]:
-    """The full seed sweep (rows for every scheme and seed)."""
-    return run_units(__name__, units(seeds, params))
 
 
 def check(rows: Sequence[dict]) -> None:

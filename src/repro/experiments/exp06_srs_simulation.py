@@ -23,7 +23,7 @@ from ..messaging.algorithms import (
 )
 from ..messaging.model import run_uniform_rounds
 from ..sinr.params import PhysicalParams
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-6: single-round simulation under SINR (Corollary 1)"
 COLUMNS = [
@@ -36,11 +36,7 @@ ALGORITHMS = {
     "leader-election": lambda n: [MaxIdLeaderElection(rounds=25) for _ in range(n)],
 }
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {"algorithm": tuple(ALGORITHMS)}
-
-__all__ = ["COLUMNS", "GRID", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "TITLE", "check", "run_single", "units"]
 
 
 def _outputs_equivalent(algorithm, graph, simulated, native) -> bool:
@@ -109,17 +105,8 @@ def units(
     algorithms: Sequence[str] = tuple(ALGORITHMS),
     params: PhysicalParams | None = None,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {"algorithm": algorithms}, seeds, params=params)
-
-
-def run(
-    seeds: Sequence[int] = (0,),
-    algorithms: Sequence[str] = tuple(ALGORITHMS),
-    params: PhysicalParams | None = None,
-) -> list[dict]:
-    """The full algorithm x seed grid (disconnected seeds skipped)."""
-    return run_units(__name__, units(seeds, algorithms, params))
 
 
 def check(rows: Sequence[dict]) -> None:

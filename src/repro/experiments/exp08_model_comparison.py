@@ -12,7 +12,7 @@ from typing import Sequence
 from .._validation import require_in
 from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import uniform_deployment
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-8: same MW algorithm, SINR vs graph-based channel"
 COLUMNS = [
@@ -21,11 +21,7 @@ COLUMNS = [
 ]
 CHANNELS = ("sinr", "graph")
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {"channel": CHANNELS}
-
-__all__ = ["COLUMNS", "GRID", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "TITLE", "check", "run_single", "units"]
 
 
 def run_single(seed: int, channel: str) -> dict:
@@ -52,15 +48,8 @@ def run_single(seed: int, channel: str) -> dict:
 def units(
     seeds: Sequence[int] = (0, 1, 2), channels: Sequence[str] = CHANNELS
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {"channel": channels}, seeds)
-
-
-def run(
-    seeds: Sequence[int] = (0, 1, 2), channels: Sequence[str] = CHANNELS
-) -> list[dict]:
-    """The full channel x seed grid."""
-    return run_units(__name__, units(seeds, channels))
 
 
 def check(rows: Sequence[dict]) -> None:

@@ -13,7 +13,7 @@ from ..coloring.runner import build_constants, run_mw_coloring
 from ..geometry.deployment import uniform_deployment
 from ..graphs.udg import UnitDiskGraph
 from ..sinr.params import PhysicalParams
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-9: constant-scale ablation (failure rate vs time saved)"
 COLUMNS = [
@@ -22,11 +22,7 @@ COLUMNS = [
 ]
 DEFAULT_SCALES = (1.0, 0.5, 0.25, 0.12)
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {"scale": DEFAULT_SCALES}
-
-__all__ = ["COLUMNS", "GRID", "DEFAULT_SCALES", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "DEFAULT_SCALES", "TITLE", "check", "run_single", "units"]
 
 
 def run_single(
@@ -58,17 +54,8 @@ def units(
     scales: Sequence[float] = DEFAULT_SCALES,
     params: PhysicalParams | None = None,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {"scale": scales}, seeds, params=params)
-
-
-def run(
-    seeds: Sequence[int] = (0, 1, 2, 3),
-    scales: Sequence[float] = DEFAULT_SCALES,
-    params: PhysicalParams | None = None,
-) -> list[dict]:
-    """The full scale x seed grid."""
-    return run_units(__name__, units(seeds, scales, params))
 
 
 def check(rows: Sequence[dict]) -> None:

@@ -15,7 +15,7 @@ from ..graphs.udg import UnitDiskGraph
 from ..mac.tdma import TDMASchedule
 from ..invariants import verify_tdma_broadcast
 from ..sinr.params import PhysicalParams
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-10: derived geometry and Theorem 3 across (alpha, beta)"
 COLUMNS = [
@@ -25,11 +25,7 @@ COLUMNS = [
 DEFAULT_ALPHAS = (2.5, 3.0, 4.0, 6.0)
 DEFAULT_BETAS = (1.0, 2.0)
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {"alpha": DEFAULT_ALPHAS, "beta": DEFAULT_BETAS}
-
-__all__ = ["COLUMNS", "GRID", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "TITLE", "check", "run_single", "units"]
 
 
 def run_single(alpha: float, beta: float, seed: int = 0, rho: float = 2.0) -> dict:
@@ -61,17 +57,8 @@ def units(
     betas: Sequence[float] = DEFAULT_BETAS,
     seed: int = 0,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {"alpha": alphas, "beta": betas}, [seed])
-
-
-def run(
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    betas: Sequence[float] = DEFAULT_BETAS,
-    seed: int = 0,
-) -> list[dict]:
-    """The full (alpha, beta) grid."""
-    return run_units(__name__, units(alphas, betas, seed))
 
 
 def check(rows: Sequence[dict]) -> None:

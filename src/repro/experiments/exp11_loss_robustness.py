@@ -15,17 +15,13 @@ from ..coloring.runner import run_mw_coloring
 from ..faults.plan import FaultPlan, MessageFaults
 from ..geometry.deployment import uniform_deployment
 from ..sinr.params import PhysicalParams
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-11: MW under injected Bernoulli loss (extension)"
 COLUMNS = ["drop", "seed", "slots", "proper", "clean", "completed", "ok", "dropped"]
 DEFAULT_DROPS = (0.0, 0.15, 0.3, 0.45)
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {"drop": DEFAULT_DROPS}
-
-__all__ = ["COLUMNS", "GRID", "DEFAULT_DROPS", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "DEFAULT_DROPS", "TITLE", "check", "run_single", "units"]
 
 
 def run_single(
@@ -72,20 +68,10 @@ def units(
     params: PhysicalParams | None = None,
     faults: Mapping | None = None,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units(
         "run_single", {"drop": drops}, seeds, params=params, faults=faults
     )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    drops: Sequence[float] = DEFAULT_DROPS,
-    params: PhysicalParams | None = None,
-    faults: Mapping | None = None,
-) -> list[dict]:
-    """The full drop x seed grid."""
-    return run_units(__name__, units(seeds, drops, params, faults))
 
 
 def check(rows: Sequence[dict]) -> None:

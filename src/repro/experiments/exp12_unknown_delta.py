@@ -14,7 +14,7 @@ from ..coloring.runner import run_mw_coloring
 from ..geometry.deployment import uniform_deployment
 from ..graphs.udg import UnitDiskGraph
 from ..sinr.params import PhysicalParams
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-12: coloring with probed Delta (unknown-Delta extension)"
 COLUMNS = [
@@ -22,11 +22,7 @@ COLUMNS = [
     "unknown_slots", "overhead", "proper", "completed", "bracketed",
 ]
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {}
-
-__all__ = ["COLUMNS", "GRID", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "TITLE", "check", "run_single", "units"]
 
 
 def run_single(seed: int, params: PhysicalParams | None = None) -> dict:
@@ -58,15 +54,8 @@ def run_single(seed: int, params: PhysicalParams | None = None) -> dict:
 def units(
     seeds: Sequence[int] = (0, 1, 2), params: PhysicalParams | None = None
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {}, seeds, params=params)
-
-
-def run(
-    seeds: Sequence[int] = (0, 1, 2), params: PhysicalParams | None = None
-) -> list[dict]:
-    """The full seed sweep."""
-    return run_units(__name__, units(seeds, params))
 
 
 def check(rows: Sequence[dict]) -> None:

@@ -19,7 +19,7 @@ from ..coloring.runner import run_mw_coloring
 from ..faults.plan import FaultPlan, WakeupSpec
 from ..geometry.deployment import uniform_deployment
 from ..sinr.params import PhysicalParams
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-13: asynchronous wake-up (per-node time vs makespan)"
 COLUMNS = [
@@ -29,11 +29,7 @@ COLUMNS = [
 PATTERNS = ("synchronous", "random", "staggered")
 DEFAULT_N = 80
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; empty when seeds are the only swept axis.
-GRID = {"pattern": PATTERNS}
-
-__all__ = ["COLUMNS", "GRID", "TITLE", "check", "run", "run_single", "units"]
+__all__ = ["COLUMNS", "TITLE", "check", "run_single", "units"]
 
 
 def _make_spec(pattern: str, seed: int) -> WakeupSpec:
@@ -85,20 +81,10 @@ def units(
     params: PhysicalParams | None = None,
     faults: Mapping | None = None,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units(
         "run_single", {"pattern": patterns}, seeds, params=params, faults=faults
     )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    patterns: Sequence[str] = PATTERNS,
-    params: PhysicalParams | None = None,
-    faults: Mapping | None = None,
-) -> list[dict]:
-    """The full pattern x seed grid."""
-    return run_units(__name__, units(seeds, patterns, params, faults))
 
 
 def check(rows: Sequence[dict]) -> None:

@@ -24,7 +24,7 @@ from ..faults.plan import FaultPlan
 from ..geometry.deployment import uniform_deployment
 from ..invariants import verify_tdma_broadcast
 from ..sinr.params import PhysicalParams
-from ._units import grid_units, run_units
+from ._units import grid_units
 
 TITLE = "EXP-14: algorithm arena (palette / convergence / TDMA delivery)"
 COLUMNS = [
@@ -35,12 +35,8 @@ COLUMNS = [
 DEFAULT_N = 36
 DEFAULT_EXTENT = 4.0
 
-#: Default sweep axes beyond ``seeds`` (axis -> values), mirroring the
-#: ``units()`` defaults; the axis is the registry's name list.
-GRID = {"algorithm": algorithm_names()}
-
 __all__ = [
-    "COLUMNS", "GRID", "TITLE", "check", "run", "run_single",
+    "COLUMNS", "TITLE", "check", "run_single",
     "select_algorithms", "units",
 ]
 
@@ -123,7 +119,7 @@ def units(
     extent: float = DEFAULT_EXTENT,
     faults: Mapping | None = None,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units(
         "run_single",
         {"algorithm": select_algorithms(algorithm)},
@@ -132,17 +128,6 @@ def units(
         extent=extent,
         faults=faults,
     )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    algorithm: str | Sequence[str] | None = None,
-    n: int = DEFAULT_N,
-    extent: float = DEFAULT_EXTENT,
-    faults: Mapping | None = None,
-) -> list[dict]:
-    """The full algorithm x seed arena."""
-    return run_units(__name__, units(seeds, algorithm, n, extent, faults))
 
 
 def check(rows: Sequence[dict]) -> None:

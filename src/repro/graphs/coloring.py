@@ -81,10 +81,6 @@ class Coloring:
             raise ColoringError("empty coloring has no max color")
         return int(self.colors.max())
 
-    def color_of(self, node: int) -> int:
-        """Color of ``node``."""
-        return int(self.colors[node])
-
     def color_classes(self) -> dict[int, np.ndarray]:
         """Mapping from color value to the sorted array of nodes wearing it."""
         classes: dict[int, np.ndarray] = {}

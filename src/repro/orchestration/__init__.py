@@ -15,19 +15,19 @@ decomposition into a parallel job:
 * :mod:`~repro.orchestration.executor` — :func:`run_sharded`: the
   process-pool driver with bounded retry and graceful SIGINT drain.
 * :mod:`~repro.orchestration.aggregate` — canonical-order merge back
-  into one table (bit-identical to the serial ``run()``), the
+  into one table (bit-identical to the serial ``run_units``), the
   experiment's own ``check()`` over the merged rows, and per-shard
   telemetry merged into one ``repro.telemetry/1`` artifact.
 
-The CLI front end is ``python -m repro sweep`` (and ``--jobs`` /
-``--store`` / ``--resume`` on ``python -m repro experiment``); see
+The CLI front end is ``python -m repro sweep``; ``python -m repro
+experiment`` runs the same unit list serially.  See
 docs/ORCHESTRATION.md for the shard model, store layout and measured
 scaling.
 
     from repro.orchestration import run_sharded, merged_rows
 
     result = run_sharded("exp1", jobs=4, store=".repro_runs", resume=True)
-    rows = merged_rows(result)        # == exp1.run() row for row
+    rows = merged_rows(result)        # == run_units(...) row for row
 """
 
 from __future__ import annotations

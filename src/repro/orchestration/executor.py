@@ -74,7 +74,7 @@ class SweepResult:
     def rows(self) -> list[dict]:
         """Completed shards' rows, concatenated in canonical shard order.
 
-        Row-for-row identical to the serial ``run()`` output when
+        Row-for-row identical to the serial ``run_units`` output when
         :attr:`complete`; on an interrupted or failed sweep it holds the
         completed subset (still in canonical order).
         """
@@ -103,14 +103,15 @@ class SweepResult:
         }
 
 
-def _resolve_units(module_path: str, unit_kwargs: dict | None) -> list[dict]:
+def _resolve_units(
+    experiment: str, module_path: str, unit_kwargs: dict | None
+) -> list[dict]:
     """The experiment's canonical unit list, honouring kwarg overrides.
 
-    An override ``units()`` does not accept raises, naming the key:
-    dropping it would run a different sweep than the one asked for.  The
-    one exception is ``seeds``, which falls back to the module's default
-    (exp10's grid has no seed axis), mirroring how the serial CLI path
-    calls ``run()``.
+    An override ``units()`` does not accept raises, naming the experiment
+    and the key: dropping it would run a different sweep than the one
+    asked for.  The one exception is ``seeds``, which falls back to the
+    module's default (exp10's grid has no seed axis).
     """
     module = importlib.import_module(module_path)
     if not hasattr(module, "units"):
@@ -127,8 +128,9 @@ def _resolve_units(module_path: str, unit_kwargs: dict | None) -> list[dict]:
     refused = [k for k in unit_kwargs if k not in parameters and k != "seeds"]
     if refused:
         raise ConfigurationError(
-            f"{module_path} does not accept {', '.join(map(repr, refused))} "
-            "in units(); this experiment cannot honour that override"
+            f"experiment {experiment!r} does not accept "
+            f"{', '.join(map(repr, refused))} in units(); it cannot honour "
+            "that override"
         )
     supported = {k: v for k, v in unit_kwargs.items() if k in parameters}
     return list(module.units(**supported))
@@ -195,7 +197,7 @@ def plan_sweep(
         unit_kwargs = dict(unit_kwargs or {})
         unit_kwargs["algorithm"] = algorithm
 
-    units = _resolve_units(module, unit_kwargs)
+    units = _resolve_units(experiment, module, unit_kwargs)
     return SweepPlan(
         experiment=experiment,
         module=module,

@@ -22,7 +22,6 @@ __all__ = [
     "SCHEMA_PATTERN",
     "SERVICE_SCHEMA",
     "TELEMETRY_SCHEMA",
-    "schema_major",
 ]
 
 #: Telemetry JSONL artifacts (``--telemetry-out``, ``repro report``).
@@ -39,10 +38,3 @@ SERVICE_SCHEMA = "repro.service/1"
 
 #: The shape every schema identifier must match.
 SCHEMA_PATTERN = re.compile(r"^repro\.[a-z_]+/[0-9]+$")
-
-
-def schema_major(schema: str) -> int:
-    """The major version of a ``repro.<artifact>/<major>`` identifier."""
-    if not SCHEMA_PATTERN.match(schema):
-        raise ValueError(f"not a repro schema identifier: {schema!r}")
-    return int(schema.rsplit("/", 1)[1])

@@ -238,10 +238,6 @@ class EventSimulator:
         """Number of nodes."""
         return len(self._nodes)
 
-    def add_observer(self, observer: SlotObserver) -> None:
-        """Register an additional end-of-slot observer (active slots only)."""
-        self._observers.append(observer)
-
     def decided_count(self) -> int:
         """Number of nodes whose process reports ``decided``."""
         return sum(1 for node in self._nodes if node.decided)

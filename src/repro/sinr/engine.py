@@ -105,7 +105,3 @@ class ResolutionEngine:
         if self._m_evals is not None:
             self._m_evals.inc(dist_sq.size)
         return dist_sq
-
-    def distances(self, senders: np.ndarray) -> np.ndarray:
-        """Euclidean ``(n, k)`` distance matrix."""
-        return np.sqrt(self.distance_sq(np.asarray(senders, dtype=np.intp)))

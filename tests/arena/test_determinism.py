@@ -25,6 +25,7 @@ from repro.algorithms import (
 )
 from repro.coloring.runner import run_mw_coloring
 from repro.experiments import exp14_arena as exp14
+from repro.experiments import run_units
 from repro.geometry.deployment import uniform_deployment
 from repro.orchestration import merged_rows, run_sharded
 from repro.telemetry import Telemetry, read_run
@@ -159,14 +160,16 @@ class TestResolverParity:
 
 
 class TestSerialVsShardedSweep:
-    GRID = dict(seeds=[0, 1], n=14, extent=2.6)
+    SWEEP = dict(seeds=[0, 1], n=14, extent=2.6)
     SUBSET = "fuchs_prutkin,greedy,kuhn_multicolor"
 
     def test_jobs2_rows_match_serial_rows(self):
-        serial = exp14.run(algorithm=self.SUBSET, **self.GRID)
+        serial = run_units(
+            exp14.__name__, exp14.units(algorithm=self.SUBSET, **self.SWEEP)
+        )
         sharded = run_sharded(
             "exp14", jobs=2,
-            unit_kwargs=dict(self.GRID),
+            unit_kwargs=dict(self.SWEEP),
             algorithm=self.SUBSET,
         )
         assert sharded.complete

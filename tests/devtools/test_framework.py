@@ -71,7 +71,7 @@ class TestRegistry:
         assert {
             "RNG001", "RNG002", "RNG003",
             "DET001", "DET002", "DET003", "DET004",
-            "EXP001", "EXP002", "EXP003",
+            "EXP001",
             "TEL001", "ERR001", "ERR002", "FUT001",
         } <= set(codes)
 

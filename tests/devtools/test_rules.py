@@ -83,23 +83,10 @@ class TestContractRules:
             select=["EXP001"],
         )
         missing = {f.message.split("`")[1] for f in report.findings}
-        assert missing == {"GRID", "COLUMNS", "units", "run", "check"}
-
-    def test_exp002_flags_hand_rolled_run(self):
-        assert codes_in("experiments/exp98_drift.py", "EXP002") == ["EXP002"]
-
-    def test_exp003_flags_signature_drift(self):
-        report = lint_paths(
-            [FIXTURES / "experiments" / "exp98_drift.py"],
-            root=FIXTURES,
-            select=["EXP003"],
-        )
-        assert [f.code for f in report.findings] == ["EXP003"]
-        assert "extra" in report.findings[0].message
+        assert missing == {"COLUMNS", "units", "check"}
 
     def test_contract_rules_ignore_non_experiment_files(self):
-        for code in ("EXP001", "EXP002", "EXP003"):
-            assert codes_in("clean_module.py", code) == []
+        assert codes_in("clean_module.py", "EXP001") == []
 
 
 class TestTelemetryRule:

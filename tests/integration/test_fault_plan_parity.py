@@ -18,6 +18,7 @@ from repro import PhysicalParams, uniform_deployment
 from repro.coloring.runner import run_mw_coloring
 from repro.experiments import exp11_loss_robustness as exp11
 from repro.experiments import exp13_wakeup_patterns as exp13
+from repro.experiments import run_units
 from repro.faults import FaultPlan, MessageFaults, NodeOutage
 from repro.orchestration import merged_rows, run_sharded
 from repro.orchestration.store import RunStore
@@ -36,12 +37,12 @@ def _canonical(rows: list[dict]) -> str:
 
 class TestHistoricalRowParity:
     def test_exp11_rows_bit_identical_to_pre_refactor(self):
-        rows = exp11.run(seeds=(0, 1))
+        rows = run_units(exp11.__name__, exp11.units(seeds=(0, 1)))
         assert _canonical(rows) == _canonical(_fixture("exp11_rows.json"))
         exp11.check(rows)
 
     def test_exp13_rows_bit_identical_to_pre_refactor(self):
-        rows = exp13.run(seeds=(0, 1))
+        rows = run_units(exp13.__name__, exp13.units(seeds=(0, 1)))
         assert _canonical(rows) == _canonical(_fixture("exp13_rows.json"))
         exp13.check(rows)
 

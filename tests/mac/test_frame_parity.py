@@ -28,6 +28,7 @@ from repro.experiments import exp05_tdma_mac as exp05
 from repro.experiments import exp06_srs_simulation as exp06
 from repro.experiments import exp07_palette_reduction as exp07
 from repro.experiments import exp10_physical_sweep as exp10
+from repro.experiments import run_units
 from repro.faults import FaultPlan, MessageFaults, NodeOutage
 from repro.graphs.power import power_graph
 from repro.graphs.udg import UnitDiskGraph
@@ -101,10 +102,10 @@ def corpus(tmp: pathlib.Path) -> dict:
     }
     palette = reduce_palette_simulated(graph, tight, params)
     return {
-        "exp05": exp05.run(),
-        "exp06": exp06.run(),
-        "exp07": exp07.run(),
-        "exp10": exp10.run(),
+        "exp05": run_units(exp05.__name__, exp05.units()),
+        "exp06": run_units(exp06.__name__, exp06.units()),
+        "exp07": run_units(exp07.__name__, exp07.units()),
+        "exp10": run_units(exp10.__name__, exp10.units()),
         "audit_distance_1": {
             "frame_length": audit.frame_length,
             "expected": audit.expected,

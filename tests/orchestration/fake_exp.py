@@ -1,7 +1,7 @@
 """A controllable fixture experiment for orchestration tests.
 
 Shaped exactly like a real ``repro.experiments`` module (``TITLE``,
-``COLUMNS``, ``units``, ``run_single``, ``run``, ``check``) but cheap and
+``COLUMNS``, ``units``, ``run_single``, ``check``) but cheap and
 steerable: units can be told to sleep (timeout tests), to fail their
 first N attempts (retry tests) or to drop an execution marker file
 (so tests can count which units actually ran across processes).
@@ -17,7 +17,7 @@ import time
 import uuid
 from typing import Sequence
 
-from repro.experiments._units import grid_units, run_units
+from repro.experiments._units import grid_units
 
 TITLE = "FAKE: orchestration fixture experiment"
 COLUMNS = ["x", "seed", "value"]
@@ -27,7 +27,6 @@ __all__ = [
     "TITLE",
     "check",
     "count_marks",
-    "run",
     "run_single",
     "units",
 ]
@@ -74,13 +73,8 @@ def units(
     xs: Sequence[int] = (1, 2, 3),
     **knobs,
 ) -> list[dict]:
-    """Shardable work units, in canonical ``run()`` row order."""
+    """The sweep as shardable work units, in canonical row order."""
     return grid_units("run_single", {"x": xs}, seeds, **knobs)
-
-
-def run(seeds: Sequence[int] = (0, 1), xs: Sequence[int] = (1, 2, 3), **knobs) -> list[dict]:
-    """The full grid, serially."""
-    return run_units(__name__, units(seeds, xs, **knobs))
 
 
 def check(rows: Sequence[dict]) -> None:

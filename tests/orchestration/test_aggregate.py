@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import run_units
 from repro.orchestration import (
     RunStore,
     merged_rows,
@@ -69,7 +70,9 @@ class TestMergedArtifact:
         out = tmp_path / "merged.jsonl"
         write_merged_artifact(out, result)
         again = read_run(out)
-        serial = fake_exp.run(seeds=[0, 1], xs=[1, 2])
+        serial = run_units(
+            fake_exp.__name__, fake_exp.units(seeds=[0, 1], xs=[1, 2])
+        )
         assert json.dumps(again.rows) == json.dumps(serial)
 
 

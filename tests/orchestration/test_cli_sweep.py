@@ -1,4 +1,4 @@
-"""CLI surface: ``repro sweep``, orchestrated ``repro experiment``, SIGINT.
+"""CLI surface: ``repro sweep``, its parity with ``repro experiment``, SIGINT.
 
 The in-process tests drive ``main()`` directly on exp10 (sub-second).
 The SIGINT test runs a real child process against the fixture experiment
@@ -57,15 +57,33 @@ class TestSweepCommand:
         report = capsys.readouterr().out
         assert "exported rows (8)" in report
 
-    def test_experiment_routes_through_orchestrator(self, capsys, tmp_path):
+    def test_sweep_routes_through_orchestrator(self, capsys, tmp_path):
         code = main(
-            ["experiment", "exp10", "--jobs", "2",
+            ["sweep", "exp10", "--jobs", "2",
              "--store", str(tmp_path / "store")]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "shards over 2 jobs" in out
         assert "check passed" in out
+
+    def test_experiment_has_no_parallel_flags(self, capsys):
+        # ``repro sweep`` is the one parallel command
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "exp10", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_experiment_and_sweep_refuse_an_override_alike(self, capsys):
+        """Both commands bind their arguments to ``units()`` through
+        ``plan_sweep``, so an axis the experiment lacks fails the same
+        way in each, naming the experiment and the override."""
+        messages = []
+        for command in ("experiment", "sweep"):
+            assert main([command, "exp1", "--algorithm", "mw"]) == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert "'exp1'" in messages[0] and "'algorithm'" in messages[0]
 
     def test_sweep_rejects_resume_without_store(self, capsys):
         # the CLI boundary contract (ERR003): ConfigurationError becomes
@@ -130,6 +148,7 @@ class TestSigintDrain:
         shard_files = list(store.rglob("shard-*.json"))
         assert 0 < len(shard_files) < self.NUM_SHARDS
 
+        from repro.experiments import run_units
         from repro.orchestration import merged_rows, run_sharded
 
         from . import fake_exp
@@ -142,7 +161,7 @@ class TestSigintDrain:
         assert resumed.complete
         assert resumed.resumed  # it really did skip persisted work
         assert resumed.num_shards == self.NUM_SHARDS
-        serial = fake_exp.run(
+        serial = run_units(fake_exp.__name__, fake_exp.units(
             seeds=self.UNIT_KWARGS["seeds"], xs=self.UNIT_KWARGS["xs"]
-        )
+        ))
         assert merged_rows(resumed) == serial

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import run_units
 from repro.orchestration import merged_rows, run_sharded
 
 from . import fake_exp
@@ -19,7 +20,7 @@ def _rows_json(rows):
 
 class TestParity:
     def test_rows_identical_to_serial_run(self):
-        serial = fake_exp.run(seeds=[0, 1, 2], xs=[1, 2, 3, 4])
+        serial = run_units(FAKE, fake_exp.units(seeds=[0, 1, 2], xs=[1, 2, 3, 4]))
         result = run_sharded(
             "fake", module=FAKE, jobs=2, shard_size=2,
             unit_kwargs={"seeds": [0, 1, 2], "xs": [1, 2, 3, 4]},
@@ -28,7 +29,7 @@ class TestParity:
         assert _rows_json(merged_rows(result)) == _rows_json(serial)
 
     def test_parity_independent_of_jobs_and_shard_size(self):
-        serial = fake_exp.run(seeds=[0, 1], xs=[1, 2, 3])
+        serial = run_units(FAKE, fake_exp.units(seeds=[0, 1], xs=[1, 2, 3]))
         for jobs, shard_size in [(1, 1), (3, 1), (2, 4), (4, 2)]:
             result = run_sharded(
                 "fake", module=FAKE, jobs=jobs, shard_size=shard_size,
@@ -42,7 +43,8 @@ class TestParity:
         result = run_sharded("exp10", jobs=2)
         assert result.complete
         rows = merged_rows(result)
-        assert _rows_json(rows) == _rows_json(exp10.run())
+        serial = run_units(exp10.__name__, exp10.units())
+        assert _rows_json(rows) == _rows_json(serial)
         exp10.check(rows)
 
     def test_real_experiment_parity_exp7_with_seeds(self):
@@ -53,7 +55,7 @@ class TestParity:
         )
         assert result.complete
         assert _rows_json(merged_rows(result)) == _rows_json(
-            exp7.run(seeds=range(2))
+            run_units(exp7.__name__, exp7.units(seeds=range(2)))
         )
 
 
@@ -123,7 +125,7 @@ class TestInterruptAndResume:
             "seeds": [0, 1], "xs": [1, 2, 3],
             "sleep_s": 0.15, "exec_dir": exec_dir,
         }
-        serial = fake_exp.run(seeds=[0, 1], xs=[1, 2, 3])
+        serial = run_units(FAKE, fake_exp.units(seeds=[0, 1], xs=[1, 2, 3]))
 
         stop = threading.Event()
         completions = []
@@ -173,7 +175,7 @@ class TestInterruptAndResume:
         assert resumed.resumed == [0]
         assert resumed.executed == [1]
         assert _rows_json(merged_rows(resumed)) == _rows_json(
-            fake_exp.run(seeds=[0], xs=[1, 2])
+            run_units(FAKE, fake_exp.units(seeds=[0], xs=[1, 2]))
         )
 
     def test_resume_with_different_shard_size_rejected(self, tmp_path):
@@ -203,20 +205,6 @@ class TestAllExperimentsShardable:
                 assert callable(getattr(module, work["func"]))
             # the whole unit list must fingerprint cleanly
             assert config_hash(experiment, units, STORE_SCHEMA)
-
-    def test_every_run_goes_through_run_units(self):
-        """Serial/parallel parity is by construction: run() executes the
-        exact unit list the shard planner sees.  Guard that construction."""
-        import inspect
-
-        from repro.experiments import REGISTRY
-
-        for experiment, module in REGISTRY.items():
-            source = inspect.getsource(module.run)
-            assert "run_units" in source, (
-                f"{experiment}.run() no longer delegates to run_units(); "
-                "parallel sweeps can drift from the serial table"
-            )
 
 
 class TestConfigHashPins:

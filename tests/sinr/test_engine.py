@@ -43,15 +43,6 @@ class TestDistanceMatrix:
         assert sq[1, 0] == 0.0
         assert np.all(sq >= 0.0)
 
-    def test_distances_method(self, positions):
-        engine = ResolutionEngine(positions)
-        senders = np.array([2, 11], dtype=np.intp)
-        dist = engine.distances(senders)
-        expected = np.hypot(
-            *(positions[:, None, :] - positions[senders][None, :, :]).transpose(2, 0, 1)
-        )
-        np.testing.assert_allclose(dist, expected, rtol=1e-9, atol=1e-9)
-
     def test_column_order_follows_sender_order(self, positions):
         engine = ResolutionEngine(positions)
         forward = engine.distance_sq(np.array([3, 8], dtype=np.intp))

@@ -20,7 +20,7 @@ class TestRegistry:
         module = REGISTRY[exp_id]
         assert isinstance(module.TITLE, str) and module.TITLE
         assert isinstance(module.COLUMNS, list) and module.COLUMNS
-        assert callable(module.run)
+        assert callable(module.units)
         assert callable(module.run_single)
         assert callable(module.check)
 
