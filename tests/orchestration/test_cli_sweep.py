@@ -67,6 +67,25 @@ class TestSweepCommand:
         assert "shards over 2 jobs" in out
         assert "check passed" in out
 
+    def test_experiment_routes_through_orchestrator(self, capsys, monkeypatch):
+        # the serial command plans its units with the orchestrator's
+        # plan_sweep, the same binding ``repro sweep`` and the service use
+        import repro.orchestration
+
+        real = repro.orchestration.plan_sweep
+        calls = []
+
+        def spy(experiment, **kwargs):
+            calls.append((experiment, kwargs))
+            return real(experiment, **kwargs)
+
+        monkeypatch.setattr(repro.orchestration, "plan_sweep", spy)
+        assert main(["experiment", "exp10"]) == 0
+        assert calls == [
+            ("exp10", {"unit_kwargs": {"seeds": range(2)}, "algorithm": None})
+        ]
+        assert "check passed" in capsys.readouterr().out
+
     def test_experiment_has_no_parallel_flags(self, capsys):
         # ``repro sweep`` is the one parallel command
         with pytest.raises(SystemExit) as exit_info:

@@ -206,6 +206,36 @@ class TestAllExperimentsShardable:
             # the whole unit list must fingerprint cleanly
             assert config_hash(experiment, units, STORE_SCHEMA)
 
+    def test_every_run_goes_through_run_units(self, monkeypatch):
+        """Serial/parallel parity is by construction: ``repro experiment``
+        executes the exact unit list the shard planner sees.  Guard that
+        construction for every registry entry."""
+        import repro.experiments
+        from repro.cli import main
+        from repro.experiments import REGISTRY
+        from repro.orchestration import plan_sweep
+
+        class Planned(Exception):
+            pass
+
+        calls = []
+
+        def spy(module_name, units):
+            calls.append((module_name, list(units)))
+            raise Planned
+
+        monkeypatch.setattr(repro.experiments, "run_units", spy)
+        for experiment, module in REGISTRY.items():
+            calls.clear()
+            with pytest.raises(Planned):
+                main(["experiment", experiment, "--no-check"])
+            planned = plan_sweep(experiment, unit_kwargs={"seeds": range(2)})
+            assert calls == [(module.__name__, list(planned.units))], (
+                f"repro experiment {experiment} no longer runs the planned "
+                "units through run_units(); parallel sweeps can drift from "
+                "the serial table"
+            )
+
 
 class TestConfigHashPins:
     """Dense sweep hashes are pinned: a drift orphans every stored sweep."""
